@@ -10,7 +10,6 @@ from .config import Config, DEFAULT, load_config
 from .core import (
     HalfInt,
     Lagrangian,
-    SymplecticMatrix,
     SymplecticPath,
     UnitaryLoop,
     brake_involution,
@@ -23,13 +22,10 @@ from .core import (
     lagrangian_l1,
     lagrangian_l2,
     loop_degree,
-    omega_form,
-    phase_unitary_loop,
     pointwise_product,
     product_form,
     project_symplectic,
     rotation_path,
-    standard_structures,
     standard_symplectic,
     symplectic_residual,
 )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import config
+from .config import DEFAULT, Config
 from .core import (
     HalfInt,
     brake_involution,
@@ -39,6 +39,16 @@ from .errors import (
 
 FULL = "full"
 BRAKE = "brake"
+
+# largest brake residual N0 S(-t) N0 - S(t) accepted on the brake domain
+_SYMMETRY_TOL = 1e-8
+# every 2K eigenvalue inside the window needs a K partner this close
+_STABILITY_WINDOW = 0.05
+_STABILITY_TOL = 1e-3
+# spectral-flow scan: initial samples, and the bracket width below which
+# a multiple jump is recorded as one crossing
+_S_SAMPLES = 64
+_REFINE_FLOOR = 1e-10
 
 
 class SymmetricLoop:
@@ -89,14 +99,13 @@ class AsymptoticOperator:
 
     loop: SymmetricLoop
     domain: str = FULL
-    symmetry_tol: float = 1e-8
 
     def __post_init__(self):
         if self.domain not in (FULL, BRAKE):
             raise ValidationError("domain must be 'full' or 'brake'")
         if self.domain == BRAKE:
             res = self.loop.brake_residual()
-            if res > self.symmetry_tol:
+            if res > _SYMMETRY_TOL:
                 raise SymmetryViolated(
                     f"coefficient loop is not brake-symmetric (residual {res:.2e})"
                 )
@@ -177,15 +186,16 @@ class Discretization:
     domain: str
 
 
-def discretize(op: AsymptoticOperator, K=None, check_stability=True,
-               stability_window=0.05, stability_tol=1e-3):
-    """Symmetric eigenproblem at truncation K, validated against 2K.
+def discretize(op: AsymptoticOperator, K=None, check_stability=True, *,
+               config: Config = DEFAULT):
+    """Symmetric eigenproblem at truncation K (fourier.K by default),
+    validated against 2K.
 
     Every eigenvalue of the 2K problem inside the stability window must
-    be matched by a K eigenvalue within stability_tol, else the
+    be matched by a K eigenvalue within the stability tolerance, else the
     truncation is declared unstable.
     """
-    K = config.DEFAULT.fourier_K if K is None else int(K)
+    K = config.fourier_K if K is None else int(K)
     a = _assemble(op, K)
     if op.domain == BRAKE:
         q = _brake_basis(K, op.loop.n)
@@ -197,9 +207,9 @@ def discretize(op: AsymptoticOperator, K=None, check_stability=True,
             q2 = _brake_basis(2 * K, op.loop.n)
             a2 = q2.T @ a2 @ q2
         eigs2 = np.linalg.eigvalsh(a2)
-        near = eigs2[np.abs(eigs2) < stability_window]
+        near = eigs2[np.abs(eigs2) < _STABILITY_WINDOW]
         for lam in near:
-            if np.min(np.abs(eigs - lam)) > stability_tol:
+            if np.min(np.abs(eigs - lam)) > _STABILITY_TOL:
                 raise TruncationUnstable(
                     f"eigenvalue {lam:.6g} at 2K={2 * K} has no partner at K={K}"
                 )
@@ -213,11 +223,11 @@ def _zero_threshold(eigs2, zero_tol):
     return min(zero_tol, gap / 10.0)
 
 
-def kernel_dimension(op: AsymptoticOperator, K=None, zero_tol=None):
-    """Dimension of the numerical kernel, stable between K and 2K."""
-    zero_tol = config.DEFAULT.tol_zero_eig if zero_tol is None else zero_tol
-    disc, eigs2 = discretize(op, K, check_stability=True)
-    thr = _zero_threshold(eigs2, zero_tol)
+def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
+    """Dimension of the numerical kernel under tol.zero_eig, stable
+    between K and 2K."""
+    disc, eigs2 = discretize(op, K, check_stability=True, config=config)
+    thr = _zero_threshold(eigs2, config.tol_zero_eig)
     count = int(np.sum(np.abs(disc.eigenvalues) < thr))
     count2 = int(np.sum(np.abs(eigs2) < thr))
     if count != count2:
@@ -274,8 +284,8 @@ class FlowReport:
     crossings: tuple  # (s, sign) pairs, sign +1 for positive-to-negative
 
 
-def spectral_flow(family: OperatorFamily, K=None, s_samples=64,
-                  refine_floor=1e-10, zero_tol=None, max_multiplicity=None):
+def spectral_flow(family: OperatorFamily, K=None, max_multiplicity=None, *,
+                  config: Config = DEFAULT):
     """Signed count of eigenvalue crossings through zero along the family.
 
     The count tracks the number of negative eigenvalues: a crossing from
@@ -284,13 +294,12 @@ def spectral_flow(family: OperatorFamily, K=None, s_samples=64,
     floor is recorded as one crossing of that multiplicity (symmetric
     problems cross in genuine pairs).  With ``max_multiplicity`` set, a
     floor-width bracket jumping by more raises CrossingUnresolved.
-    Endpoints must be nondegenerate.
+    Endpoints must be nondegenerate under tol.zero_eig.
     """
-    zero_tol = config.DEFAULT.tol_zero_eig if zero_tol is None else zero_tol
-    K = config.DEFAULT.fourier_K if K is None else int(K)
+    K = config.fourier_K if K is None else int(K)
 
     for s_end in (family.s_min, family.s_max):
-        if kernel_dimension(family.operator_at(s_end), K=K, zero_tol=zero_tol) > 0:
+        if kernel_dimension(family.operator_at(s_end), K=K, config=config) > 0:
             raise EndpointDegenerate(f"family endpoint s={s_end} is degenerate")
 
     cache = {}
@@ -304,7 +313,7 @@ def spectral_flow(family: OperatorFamily, K=None, s_samples=64,
             cache[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
         return cache[s]
 
-    grid = list(np.linspace(family.s_min, family.s_max, s_samples))
+    grid = list(np.linspace(family.s_min, family.s_max, _S_SAMPLES))
     crossings = []
     stack = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)]
     while stack:
@@ -315,7 +324,7 @@ def spectral_flow(family: OperatorFamily, K=None, s_samples=64,
         if abs(jump) == 1:
             crossings.append(((sl + sr) / 2.0, jump))
             continue
-        if sr - sl < refine_floor:
+        if sr - sl < _REFINE_FLOOR:
             if max_multiplicity is not None and abs(jump) > max_multiplicity:
                 raise CrossingUnresolved(
                     f"negative count jumps by {jump} inside [{sl}, {sr}]"
@@ -330,6 +339,7 @@ def spectral_flow(family: OperatorFamily, K=None, s_samples=64,
     return FlowReport(total, tuple(crossings))
 
 
-def cylinder_index(family: OperatorFamily, K=None, **kw) -> HalfInt:
+def cylinder_index(family: OperatorFamily, K=None, *,
+                   config: Config = DEFAULT) -> HalfInt:
     """Fredholm index of the model cylinder operator, as a HalfInt."""
-    return HalfInt.from_int(spectral_flow(family, K=K, **kw).value)
+    return HalfInt.from_int(spectral_flow(family, K=K, config=config).value)

@@ -301,21 +301,21 @@ def _half(value: HalfInt):
     return {"doubled": value.doubled}
 
 
-def _build_path(doc, tol_symplectic=None):
+def _build_path(doc, cfg):
     if "times" in doc:
         times = np.asarray(doc["times"], dtype=float)
         values = np.asarray(doc["matrices"], dtype=float)
         based = doc.get("based")
         if based is None:
             based = bool(np.max(np.abs(values[0] - np.eye(values.shape[1]))) < 1e-12)
-        return SymplecticPath(times, values, based=based,
-                              tol_symplectic=tol_symplectic)
+        return SymplecticPath(times, values, based=based, config=cfg)
     interval = tuple(doc.get("interval", (0.0, 1.0)))
     samples = int(doc.get("samples", 257))
     if doc["kind"] == "rotation":
         return rotation_path(doc["omega"], n=int(doc.get("n", 1)),
-                             interval=interval, samples=samples)
-    return hyperbolic_path(doc["lam"], interval=interval, samples=samples)
+                             interval=interval, samples=samples, config=cfg)
+    return hyperbolic_path(doc["lam"], interval=interval, samples=samples,
+                           config=cfg)
 
 
 def _build_loop(doc):
@@ -361,17 +361,17 @@ def _index_report_doc(report):
 
 
 def _run_index(doc, cfg):
-    path = _build_path(doc["path"], tol_symplectic=cfg.tol_symplectic)
+    path = _build_path(doc["path"], cfg)
     which = doc.get("index", "all")
     out = {}
     if which in ("cz", "all"):
-        out["cz"] = _index_report_doc(conley_zehnder_report(path))
+        out["cz"] = _index_report_doc(conley_zehnder_report(path, config=cfg))
     if which in ("mu1", "all"):
-        out["mu1"] = _index_report_doc(brake_maslov_report(path, k=1))
+        out["mu1"] = _index_report_doc(brake_maslov_report(path, k=1, config=cfg))
     if which in ("mu2", "all"):
-        out["mu2"] = _index_report_doc(brake_maslov_report(path, k=2))
+        out["mu2"] = _index_report_doc(brake_maslov_report(path, k=2, config=cfg))
     if which in ("nullities", "all"):
-        nu, nu1, nu2 = nullities(path, rank_tol=cfg.tol_rank)
+        nu, nu1, nu2 = nullities(path, config=cfg)
         out["nullities"] = {"nu": nu, "nu1": nu1, "nu2": nu2}
     return out
 
@@ -379,8 +379,7 @@ def _run_index(doc, cfg):
 def _run_spectral_flow(doc, cfg):
     family = blend_family(_build_loop(doc["minus"]), _build_loop(doc["plus"]),
                           domain=doc.get("domain", "full"))
-    report = spectral_flow(family, K=doc.get("K", cfg.fourier_K),
-                           zero_tol=cfg.tol_zero_eig)
+    report = spectral_flow(family, K=doc.get("K"), config=cfg)
     return {
         "flow": report.value,
         "crossings": [{"s": float(s), "jump": int(j)}
@@ -423,9 +422,9 @@ def _run_brake_orbit(doc, cfg):
     }
     if doc.get("indices", True):
         path = linearized_path(orbit, config=cfg)
-        nu, nu1, nu2 = nullities(path, rank_tol=cfg.tol_rank)
+        nu, nu1, nu2 = nullities(path, config=cfg)
         out["linearized"] = {
-            "mu1": _index_report_doc(brake_maslov_report(path)),
+            "mu1": _index_report_doc(brake_maslov_report(path, config=cfg)),
             "nullities": {"nu": nu, "nu1": nu1, "nu2": nu2},
             "symmetry_residual": float(check_brake_symmetry(path)),
             "degenerate": nu > 0,
@@ -434,9 +433,9 @@ def _run_brake_orbit(doc, cfg):
 
 
 def _run_classify(doc, cfg):
-    path = _build_path(doc["path"], tol_symplectic=cfg.tol_symplectic)
+    path = _build_path(doc["path"], cfg)
     rows = classify_good_bad(path, doc["n"], doc["max_m"],
-                             strict=bool(doc.get("strict", False)))
+                             strict=bool(doc.get("strict", False)), config=cfg)
     return {
         "rows": [
             {"multiplicity": r.multiplicity, "cz": _half(r.cz),

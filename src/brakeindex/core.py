@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from . import config
+from .config import DEFAULT, Config
 from .errors import PhaseJumpTooLarge, SymplecticityLost, ValidationError
 
 
@@ -139,14 +139,6 @@ def product_form(n):
     return out
 
 
-def omega_form(u, v, j=None):
-    """omega(u, v) = <J u, v> with J defaulting to the standard structure."""
-    u = np.asarray(u, dtype=float)
-    if j is None:
-        j = standard_symplectic(u.shape[0] // 2)
-    return float((j @ u) @ v)
-
-
 def symplectic_residual(m, j=None):
     """sup-norm of M^T J M - J."""
     m = np.asarray(m, dtype=float)
@@ -169,25 +161,6 @@ def project_symplectic(m, j=None):
         j = standard_symplectic(m.shape[0] // 2)
     e = -j @ m.T @ j @ m  # J0^{-1} = -J0
     return m @ (3.0 * np.eye(m.shape[0]) - e) / 2.0
-
-
-@dataclasses.dataclass(frozen=True)
-class SymplecticMatrix:
-    """A validated element of Sp(2n)."""
-
-    n: int
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        object.__setattr__(self, "m", m)
-        if m.shape != (2 * self.n, 2 * self.n):
-            raise ValidationError(
-                f"expected shape {(2 * self.n, 2 * self.n)}, got {m.shape}"
-            )
-        res = symplectic_residual(m)
-        if res > config.DEFAULT.tol_symplectic:
-            raise ValidationError(f"matrix is not symplectic (residual {res:.2e})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,28 +226,23 @@ def lagrangian_graph(m):
     return Lagrangian(f, j=product_form(n))
 
 
-@dataclasses.dataclass(frozen=True)
-class StandardStructures:
-    n: int
-    j0: np.ndarray
-    n0: np.ndarray
-    l1: Lagrangian
-    l2: Lagrangian
-    w: Lagrangian
+def _interpolate(times, values, t):
+    """Value at t of a path sampled in a matrix group.
 
-    def graph(self, m):
-        return lagrangian_graph(m)
-
-
-def standard_structures(n):
-    return StandardStructures(
-        n=n,
-        j0=standard_symplectic(n),
-        n0=brake_involution(n),
-        l1=lagrangian_l1(n),
-        l2=lagrangian_l2(n),
-        w=lagrangian_diagonal(n),
-    )
+    Returns the sample at a node; inside a cell it follows the geodesic
+    values[i] exp(frac log(values[i]^{-1} values[i + 1])).
+    """
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(max(i, 0), len(times) - 2)
+    t0, t1 = times[i], times[i + 1]
+    if t <= t0:
+        return values[i].copy()
+    if t >= t1:
+        return values[i + 1].copy()
+    step = np.linalg.solve(values[i], values[i + 1])
+    frac = (t - t0) / (t1 - t0)
+    log = scipy.linalg.logm(step)
+    return np.real(values[i] @ scipy.linalg.expm(frac * log))
 
 
 class SymplecticPath:
@@ -283,11 +251,13 @@ class SymplecticPath:
     Samples live at ``times`` (strictly increasing); ``values`` has shape
     (m, 2n, 2n).  ``evaluator``, when given, must return the exact matrix
     at any t in the interval and is preferred over interpolation.  A
-    based path starts at the identity exactly.
+    based path starts at the identity exactly.  The samples are validated
+    under ``config.tol_symplectic``; every path derived from this one is
+    validated under the same config.
     """
 
     def __init__(self, times, values, based=False, evaluator=None,
-                 tol_symplectic=None):
+                 config: Config = DEFAULT):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or len(times) < 2:
@@ -298,7 +268,7 @@ class SymplecticPath:
             raise ValidationError("values must be (len(times), 2n, 2n)")
         if values.shape[1] % 2 != 0:
             raise ValidationError("matrices must be even-dimensional")
-        tol = config.DEFAULT.tol_symplectic if tol_symplectic is None else tol_symplectic
+        tol = config.tol_symplectic
         n = values.shape[1] // 2
         j = standard_symplectic(n)
         res = np.max(np.abs(np.einsum("mji,jk,mkl->mil", values, j, values) - j))
@@ -310,6 +280,7 @@ class SymplecticPath:
         self.times = times
         self.values = values
         self.based = based
+        self.config = config
         self._evaluator = evaluator
 
     @property
@@ -331,18 +302,7 @@ class SymplecticPath:
         t = min(max(t, self.times[0]), self.times[-1])
         if self._evaluator is not None:
             return np.asarray(self._evaluator(t), dtype=float)
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        if t <= t0:
-            return self.values[i].copy()
-        if t >= t1:
-            return self.values[i + 1].copy()
-        # geodesic-style interpolation inside the group
-        step = np.linalg.solve(self.values[i], self.values[i + 1])
-        frac = (t - t0) / (t1 - t0)
-        log = scipy.linalg.logm(step)
-        return np.real(self.values[i] @ scipy.linalg.expm(frac * log))
+        return _interpolate(self.times, self.values, t)
 
     def end_value(self):
         return self.values[-1].copy()
@@ -357,8 +317,8 @@ class SymplecticPath:
         based = self.based and abs(a - self.a) < 1e-15
         if based:
             values[0] = np.eye(2 * self.n)
-        ev = self._evaluator
-        return SymplecticPath(times, values, based=based, evaluator=ev)
+        return SymplecticPath(times, values, based=based,
+                              evaluator=self._evaluator, config=self.config)
 
     def reversed(self):
         """Time-reversed path on the same interval."""
@@ -369,10 +329,12 @@ class SymplecticPath:
         if self._evaluator is not None:
             base = self._evaluator
             ev = lambda t: base(a + b - t)
-        return SymplecticPath(times, values, based=False, evaluator=ev)
+        return SymplecticPath(times, values, based=False, evaluator=ev,
+                              config=self.config)
 
 
-def rotation_path(omega, n=1, interval=(0.0, 1.0), samples=257):
+def rotation_path(omega, n=1, interval=(0.0, 1.0), samples=257,
+                  config: Config = DEFAULT):
     """Path exp(J0 omega t): every complex coordinate rotates at rate omega."""
     a, b = float(interval[0]), float(interval[1])
     times = np.linspace(a, b, samples)
@@ -390,10 +352,11 @@ def rotation_path(omega, n=1, interval=(0.0, 1.0), samples=257):
     based = a == 0.0
     if based:
         values[0] = np.eye(2 * n)
-    return SymplecticPath(times, values, based=based, evaluator=at)
+    return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
-def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257):
+def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
+                    config: Config = DEFAULT):
     """Based Sp(2) path ending at diag(lam, 1/lam).
 
     Positive lam uses the plain stretching diag(lam^t, lam^-t); negative
@@ -418,21 +381,22 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257):
     based = a == 0.0
     if based:
         values[0] = np.eye(2)
-    return SymplecticPath(times, values, based=based, evaluator=at)
+    return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
 def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None, n=None,
-                         tol_symplectic=None):
+                         config: Config = DEFAULT):
     """Solve gamma' = J0 B(t) gamma, gamma(a) = I, by classical RK4.
 
     Fixed step count (config ode.steps by default) with a symplectic
     re-projection after every step.  ``b_of_t`` returns the symmetric
-    2n x 2n coefficient at time t.
+    2n x 2n coefficient at time t.  Each step must stay within
+    tol.symplectic; the returned path is validated, and remembers, ten
+    times that.
     """
     a, b = float(interval[0]), float(interval[1])
-    cfg = config.DEFAULT
-    steps = cfg.ode_steps if steps is None else int(steps)
-    tol = cfg.tol_symplectic if tol_symplectic is None else tol_symplectic
+    steps = config.ode_steps if steps is None else int(steps)
+    tol = config.tol_symplectic
     probe = np.asarray(b_of_t(a), dtype=float)
     if n is None:
         n = probe.shape[0] // 2
@@ -479,7 +443,7 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None, n=None,
         return rk4_step(t0, values[i].copy(), t - t0)
 
     return SymplecticPath(times, values, based=True, evaluator=at,
-                          tol_symplectic=max(tol, 10 * tol))
+                          config=dataclasses.replace(config, tol_symplectic=10 * tol))
 
 
 class UnitaryLoop:
@@ -511,15 +475,7 @@ class UnitaryLoop:
         t = float(t) % self.tau if self.tau > 0 else float(t)
         if self._evaluator is not None:
             return np.asarray(self._evaluator(t), dtype=float)
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        if t <= t0:
-            return self.values[i].copy()
-        frac = (t - t0) / (t1 - t0)
-        step = np.linalg.solve(self.values[i], self.values[i + 1])
-        log = scipy.linalg.logm(step)
-        return np.real(self.values[i] @ scipy.linalg.expm(frac * log))
+        return _interpolate(self.times, self.values, t)
 
     def complex_at(self, t):
         m = self.value_at(t)
@@ -548,19 +504,6 @@ def diagonal_unitary_loop(degrees, tau=1.0, samples=257):
     values = np.stack([at(t) for t in times])
     values[0] = np.eye(2 * n)
     values[-1] = np.eye(2 * n)
-    return UnitaryLoop(times, values, evaluator=at)
-
-
-def phase_unitary_loop(theta, tau=1.0, samples=257):
-    """Sp(2) loop R(theta(t)) for a callable phase with theta(tau) - theta(0) in 2 pi Z."""
-    times = np.linspace(0.0, tau, samples)
-
-    def at(t):
-        th = theta(t)
-        return np.array([[math.cos(th), -math.sin(th)],
-                         [math.sin(th), math.cos(th)]])
-
-    values = np.stack([at(t) for t in times])
     return UnitaryLoop(times, values, evaluator=at)
 
 
@@ -669,4 +612,5 @@ def pointwise_product(left, right):
     ev = None
     if rev is not None:
         ev = lambda t: lval(t) @ rev(t)
-    return SymplecticPath(times, values, based=based, evaluator=ev)
+    return SymplecticPath(times, values, based=based, evaluator=ev,
+                          config=right.config)

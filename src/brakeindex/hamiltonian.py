@@ -405,8 +405,7 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
         m = m + (h / 6.0) * (km1 + 2 * km2 + 2 * km3 + km4)
         m = project_symplectic(m)
         frames[k + 1] = m
-    return SymplecticPath(times, frames, based=True,
-                          tol_symplectic=config.tol_symplectic)
+    return SymplecticPath(times, frames, based=True, config=config)
 
 
 def reeb_factor(system, z, tol=1e-10):

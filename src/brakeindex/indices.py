@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from . import config
+from .config import DEFAULT, Config
 from .core import (
     HalfInt,
     Lagrangian,
@@ -41,6 +41,14 @@ from .errors import (
     Undersampled,
     ValidationError,
 )
+
+# crossing times are resolved to this fraction of the interval
+_TIME_TOL = 1e-10
+# a crossing form is regular when every eigenvalue clears this, relative
+# to the largest one
+_FORM_TOL = 1e-5
+# largest brake residual phi(-t) N0 - N0 phi(t) of a loop in the shift law
+_SYMMETRY_TOL = 1e-8
 
 
 class LagrangianPath:
@@ -168,24 +176,24 @@ def _crossing_form(l1, l2, t, basis, h, side="center"):
     return (q + q.T) / 2.0
 
 
-def _form_counts(q, form_tol):
+def _form_counts(q):
     eig = np.linalg.eigvalsh(q)
     scale = max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
-    regular = bool(np.all(np.abs(eig) > form_tol * scale))
+    regular = bool(np.all(np.abs(eig) > _FORM_TOL * scale))
     pos = int(np.sum(eig > 0))
     neg = int(np.sum(eig < 0))
     return pos - neg, regular
 
 
-def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
-                 form_tol=1e-5, strict=True):
+def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
     """Robbin-Salamon index of the pair (lam1, lam2) over their interval.
 
     Interior crossings count their full signature, endpoint crossings
     half.  Crossings are located by shrinking the bracket around each dip
     of the smallest singular value of the stacked frames.  ``strict``
     raises IrregularCrossing on a singular crossing form; otherwise the
-    crossing is flagged and its signature still accumulated.
+    crossing is flagged and its signature still accumulated.  Intersection
+    dimensions are rank decisions under ``config.tol_rank``.
     """
     if isinstance(lam1, Lagrangian):
         lam1 = LagrangianPath.constant(lam1, (lam2.a, lam2.b))
@@ -195,7 +203,7 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
         raise ValidationError("paths live in different ambient forms")
     if abs(lam1.a - lam2.a) > 1e-12 or abs(lam1.b - lam2.b) > 1e-12:
         raise ValidationError("paths must share an interval")
-    rank_tol = config.DEFAULT.tol_rank if rank_tol is None else rank_tol
+    rank_tol = config.tol_rank
     a, b = lam2.a, lam2.b
     span = b - a
     grid = np.union1d(lam1.times, lam2.times)
@@ -214,7 +222,7 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
         endpoint_nullities.append(dim)
         if dim > 0:
             q = eval_form(t_end, basis, side)
-            sig, regular = _form_counts(q, form_tol)
+            sig, regular = _form_counts(q)
             if not regular and strict:
                 raise IrregularCrossing(
                     f"singular crossing form at endpoint t={t_end:.6g}"
@@ -236,7 +244,7 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
         tl, tr = float(grid[i - 1]), float(grid[i + 1])
         res = scipy.optimize.minimize_scalar(
             sigma_of, bounds=(tl, tr), method="bounded",
-            options={"xatol": max(time_tol * span, 1e-14)},
+            options={"xatol": max(_TIME_TOL * span, 1e-14)},
         )
         t_hat = float(res.x)
         s_hat = float(res.fun)
@@ -263,7 +271,7 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
             d /= 8
         if s_hat > rank_tol:
             continue  # shallow dip, no actual intersection
-        if t_hat - a < 10 * time_tol * span or b - t_hat < 10 * time_tol * span:
+        if t_hat - a < 10 * _TIME_TOL * span or b - t_hat < 10 * _TIME_TOL * span:
             continue  # endpoint crossing, already counted
         if any(abs(t_hat - t0) < 1e-7 * span for t0, _, _ in located):
             continue
@@ -274,7 +282,7 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
         if dim == 0:
             continue
         q = eval_form(t_hat, basis, "center")
-        sig, regular = _form_counts(q, form_tol)
+        sig, regular = _form_counts(q)
         if not regular:
             # a degenerate form also flattens the dip, so skip the
             # collision probe; it cannot tell tangency from collision
@@ -307,7 +315,8 @@ def maslov_index(lam1, lam2, *, rank_tol=None, time_tol=1e-10,
                        tuple(endpoint_nullities))
 
 
-def conley_zehnder_report(path: SymplecticPath, **kw):
+def conley_zehnder_report(path: SymplecticPath, *,
+                          config: Config = DEFAULT) -> IndexReport:
     """Conley-Zehnder index of a based symplectic path, with crossing data.
 
     Computed from the pair (diagonal, graph) in the doubled space; the
@@ -321,17 +330,19 @@ def conley_zehnder_report(path: SymplecticPath, **kw):
     n = path.n
     w = lagrangian_diagonal(n)
     graph = LagrangianPath.graph(path)
-    rep = maslov_index(LagrangianPath.constant(w, (path.a, path.b)), graph, **kw)
+    rep = maslov_index(LagrangianPath.constant(w, (path.a, path.b)), graph,
+                       config=config)
     nu_a, nu_b = rep.endpoint_nullities
     doubled = rep.value.doubled + nu_a + nu_b - 2 * n
     return IndexReport(HalfInt(doubled), rep.crossings, rep.endpoint_nullities)
 
 
-def conley_zehnder(path: SymplecticPath, **kw) -> HalfInt:
-    return conley_zehnder_report(path, **kw).value
+def conley_zehnder(path: SymplecticPath, *, config: Config = DEFAULT) -> HalfInt:
+    return conley_zehnder_report(path, config=config).value
 
 
-def brake_maslov(path: SymplecticPath, k=1, **kw) -> HalfInt:
+def brake_maslov_report(path: SymplecticPath, k=1, *,
+                        config: Config = DEFAULT) -> IndexReport:
     """Brake index mu_k: pair index of (L_k, Phi(t) L_k) over [0, tau/2].
 
     The path must be based on [0, tau]; only its first half enters.
@@ -345,17 +356,12 @@ def brake_maslov(path: SymplecticPath, k=1, **kw) -> HalfInt:
     half = path.restricted(0.0, path.b / 2.0)
     lag = lagrangian_l1(path.n) if k == 1 else lagrangian_l2(path.n)
     moving = LagrangianPath.from_symplectic(half, lag)
-    rep = maslov_index(LagrangianPath.constant(lag, (0.0, half.b)), moving, **kw)
-    return rep.value
+    return maslov_index(LagrangianPath.constant(lag, (0.0, half.b)), moving,
+                        config=config)
 
 
-def brake_maslov_report(path: SymplecticPath, k=1, **kw) -> IndexReport:
-    if not path.based:
-        raise ValidationError("brake index needs a based path")
-    half = path.restricted(0.0, path.b / 2.0)
-    lag = lagrangian_l1(path.n) if k == 1 else lagrangian_l2(path.n)
-    moving = LagrangianPath.from_symplectic(half, lag)
-    return maslov_index(LagrangianPath.constant(lag, (0.0, half.b)), moving, **kw)
+def brake_maslov(path: SymplecticPath, k=1, *, config: Config = DEFAULT) -> HalfInt:
+    return brake_maslov_report(path, k, config=config).value
 
 
 def _subspace_intersection_dim(f1, f2, rank_tol):
@@ -364,10 +370,10 @@ def _subspace_intersection_dim(f1, f2, rank_tol):
     return int(np.sum(s < rank_tol))
 
 
-def nullities(path: SymplecticPath, rank_tol=None):
+def nullities(path: SymplecticPath, *, config: Config = DEFAULT):
     """(nu, nu1, nu2): eigenvalue-1 multiplicity at tau and the two
-    half-period Lagrangian intersection dimensions."""
-    rank_tol = config.DEFAULT.tol_rank if rank_tol is None else rank_tol
+    half-period Lagrangian intersection dimensions, under tol.rank."""
+    rank_tol = config.tol_rank
     if not path.based:
         raise ValidationError("nullities need a based path")
     n = path.n
@@ -382,21 +388,22 @@ def nullities(path: SymplecticPath, rank_tol=None):
     return tuple(out)
 
 
-def cz_of_product(loop: UnitaryLoop, path: SymplecticPath, **kw) -> HalfInt:
+def cz_of_product(loop: UnitaryLoop, path: SymplecticPath, *,
+                  config: Config = DEFAULT) -> HalfInt:
     """Conley-Zehnder index of the pointwise product loop(t) path(t)."""
-    return conley_zehnder(pointwise_product(loop, path), **kw)
+    return conley_zehnder(pointwise_product(loop, path), config=config)
 
 
 def mu1_of_product(loop: UnitaryLoop, path: SymplecticPath, *,
-                   symmetry_tol=1e-8, **kw) -> HalfInt:
+                   config: Config = DEFAULT) -> HalfInt:
     """mu_1 of the product loop(t) path(t).
 
     The shift law mu1(phi Phi) = deg(phi) + mu1(Phi) needs the loop to
     satisfy phi(-t) N0 = N0 phi(t); the residual is checked up front.
     """
     res = check_brake_symmetry(loop, kind="unitary")
-    if res > symmetry_tol:
+    if res > _SYMMETRY_TOL:
         raise SymmetryViolated(
             f"loop violates phi(-t) N0 = N0 phi(t) (residual {res:.2e})"
         )
-    return brake_maslov(pointwise_product(loop, path), k=1, **kw)
+    return brake_maslov(pointwise_product(loop, path), k=1, config=config)

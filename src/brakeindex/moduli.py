@@ -17,6 +17,7 @@ import dataclasses
 
 import numpy as np
 
+from .config import DEFAULT, Config
 from .core import HalfInt, SymplecticPath
 from .errors import DegenerateIterate, DegenerateOrbit, ValidationError
 from .indices import conley_zehnder_report, nullities
@@ -224,7 +225,8 @@ def iterate_path(path: SymplecticPath, m) -> SymplecticPath:
         j = min(int(t // tau), m - 1)
         return base_ev(t - j * tau) @ powers[j]
 
-    return SymplecticPath(times, values, based=True, evaluator=at)
+    return SymplecticPath(times, values, based=True, evaluator=at,
+                          config=path.config)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,7 +239,8 @@ class IterateRow:
     verdict: str
 
 
-def classify_good_bad(path: SymplecticPath, n, max_m, strict=False, **kw):
+def classify_good_bad(path: SymplecticPath, n, max_m, strict=False, *,
+                      config: Config = DEFAULT):
     """Grade the iterates of an orbit path and flag bad even covers.
 
     Each row carries |x^m| = mu_CZ(iterate) + n - 3; an even cover is bad
@@ -253,12 +256,12 @@ def classify_good_bad(path: SymplecticPath, n, max_m, strict=False, **kw):
     odd_parity = None
     for m in range(1, max_m + 1):
         it = iterate_path(path, m)
-        nu = nullities(it)[0]
+        nu = nullities(it, config=config)[0]
         if nu > 0 and strict:
             if m == 1:
                 raise DegenerateOrbit("primitive orbit path is degenerate")
             raise DegenerateIterate(f"iterate m={m} has nullity {nu}")
-        rep = conley_zehnder_report(it, **kw)
+        rep = conley_zehnder_report(it, config=config)
         degree = rep.value + HalfInt.from_int(n - 3)
         if not degree.is_integer:
             raise ValidationError(

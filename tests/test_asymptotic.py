@@ -18,6 +18,7 @@ from brakeindex.asymptotic import (
     smoothstep,
     spectral_flow,
 )
+from brakeindex.config import Config
 from brakeindex.core import HalfInt, rotation_path
 from brakeindex.errors import (
     CrossingUnresolved,
@@ -250,5 +251,6 @@ def test_operator_family_samples_interval():
 def test_kernel_dimension_respects_zero_tol():
     # an eigenvalue at -1e-4 counts as kernel only with a loose tolerance
     loop = SymmetricLoop.constant((TWO_PI + 1e-4) * np.eye(2))
-    assert kernel_dimension(AsymptoticOperator(loop, FULL), K=8, zero_tol=1e-6) == 0
-    assert kernel_dimension(AsymptoticOperator(loop, FULL), K=8, zero_tol=1e-3) == 2
+    op = AsymptoticOperator(loop, FULL)
+    assert kernel_dimension(op, K=8, config=Config(tol_zero_eig=1e-6)) == 0
+    assert kernel_dimension(op, K=8, config=Config(tol_zero_eig=1e-3)) == 2

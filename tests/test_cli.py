@@ -272,3 +272,56 @@ def test_bad_env_value_exit_2(tmp_path, capsys, monkeypatch):
     code, env, _ = run(capsys, "index", write_doc(tmp_path, doc))
     assert code == 2
     assert "BIT_FOURIER_K" in env["error"]["message"]
+
+
+def test_rank_tolerance_reaches_every_index(tmp_path, capsys, monkeypatch):
+    # omega = 6.33 sits 0.047 past a full turn: under tol.rank = 0.1 the
+    # end of the path counts as an intersection in every index, not only
+    # in the nullities
+    monkeypatch.setenv("BIT_TOL_RANK", "0.1")
+    doc = {"path": {"kind": "rotation", "omega": 6.33}, "index": "all"}
+    code, env, _ = run(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 0
+    assert env["config"]["tol.rank"] == 0.1
+    rep = env["report"]
+    assert rep["nullities"] == {"nu": 2, "nu1": 1, "nu2": 1}
+    assert rep["cz"]["value"] == {"doubled": 10}
+    assert rep["cz"]["endpoint_nullities"] == [2, 2]
+    for key in ("mu1", "mu2"):
+        assert rep[key]["value"] == {"doubled": 4}
+        assert rep[key]["endpoint_nullities"] == [1, 1]
+
+
+def _noisy_rotation_doc(omega=5.0, samples=257, noise=1e-7):
+    # sample 0 stays the identity, so the path is still detected as based
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, samples)
+    mats = np.stack([[[math.cos(omega * t), -math.sin(omega * t)],
+                      [math.sin(omega * t), math.cos(omega * t)]] for t in times])
+    mats[1:] += noise * rng.standard_normal(mats[1:].shape)
+    return {"times": times.tolist(), "matrices": mats.tolist()}
+
+
+def test_symplectic_tolerance_reaches_derived_paths(tmp_path, capsys, monkeypatch):
+    # residual ~5e-7: accepted under tol.symplectic = 1e-6, and so must be
+    # the half path of the brake indices and the iterates of classify
+    path = _noisy_rotation_doc()
+    index_doc = write_doc(tmp_path, {"path": path, "index": "all"}, "index.json")
+    classify_doc = write_doc(tmp_path, {"path": path, "n": 1, "max_m": 2},
+                             "classify.json")
+    for command, doc in (("index", index_doc), ("classify", classify_doc)):
+        code, env, _ = run(capsys, command, doc)
+        assert code == 3
+        assert env["error"]["type"] == "SymplecticityLost"
+
+    monkeypatch.setenv("BIT_TOL_SYMPLECTIC", "1e-6")
+    code, env, _ = run(capsys, "index", index_doc)
+    assert code == 0, env.get("error")
+    assert env["config"]["tol.symplectic"] == 1e-6
+    rep = env["report"]
+    assert rep["cz"]["value"] == {"doubled": 2}
+    assert rep["mu1"]["value"] == {"doubled": 1}
+    assert rep["mu2"]["value"] == {"doubled": 1}
+    code, env, _ = run(capsys, "classify", classify_doc)
+    assert code == 0, env.get("error")
+    assert [r["cz"]["doubled"] for r in env["report"]["rows"]] == [2, 6]

@@ -9,7 +9,6 @@ import scipy.linalg
 from brakeindex.core import (
     HalfInt,
     Lagrangian,
-    SymplecticMatrix,
     SymplecticPath,
     UnitaryLoop,
     brake_involution,
@@ -22,13 +21,10 @@ from brakeindex.core import (
     lagrangian_l1,
     lagrangian_l2,
     loop_degree,
-    omega_form,
-    phase_unitary_loop,
     pointwise_product,
     product_form,
     project_symplectic,
     rotation_path,
-    standard_structures,
     standard_symplectic,
     symplectic_residual,
 )
@@ -73,15 +69,6 @@ def test_structure_constants():
         assert np.array_equal(n0 @ n0, eye)
         # the involution is antisymplectic
         assert np.array_equal(n0.T @ j @ n0, -j)
-
-
-def test_omega_form_matches_inner_product():
-    rng = np.random.default_rng(3)
-    j = standard_symplectic(2)
-    u, v = rng.standard_normal(4), rng.standard_normal(4)
-    assert omega_form(u, v) == pytest.approx(float((j @ u) @ v))
-    assert omega_form(u, v) == pytest.approx(-omega_form(v, u))
-    assert omega_form(u, u) == pytest.approx(0.0)
 
 
 def test_product_form_blocks():
@@ -238,33 +225,29 @@ def test_graph_is_lagrangian_in_product_form():
     assert np.max(np.abs(diag.frame.T @ jt @ diag.frame)) < 1e-12
 
 
-def test_symplectic_matrix_validation():
-    m = SymplecticMatrix(1, np.eye(2))
-    assert m.n == 1
-    with pytest.raises(ValidationError):
-        SymplecticMatrix(1, np.diag([2.0, 3.0]))
-
-
-def test_standard_structures_bundle():
-    st = standard_structures(2)
-    assert np.array_equal(st.j0, standard_symplectic(2))
-    assert np.array_equal(st.n0, brake_involution(2))
-    assert st.l1.dim == 2 and st.w.dim == 4
-
-
 def test_diagonal_unitary_loop_degrees():
     for k in (-2, -1, 0, 1, 2):
         assert loop_degree(diagonal_unitary_loop((k,))) == k
     assert loop_degree(diagonal_unitary_loop((1, -2))) == -1
 
 
+def _rotation(a):
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+
 def test_phase_unitary_loop_winding():
+    # an Sp(2) loop R(theta(t)) whose phase speeds up and slows down; the
+    # sampled loop, with no evaluator, is read through interpolation
     theta = lambda t: 2 * math.pi * 2 * t + 0.3 * math.sin(2 * math.pi * t)
-    assert loop_degree(phase_unitary_loop(theta)) == 2
+    times = np.linspace(0.0, 1.0, 257)
+    loop = UnitaryLoop(times, np.stack([_rotation(theta(t)) for t in times]))
+    assert loop_degree(loop) == 2
+    assert loop_degree(loop, samples=400) == 2
 
 
 def test_loop_degree_undersampled():
-    loop = phase_unitary_loop(lambda t: 2 * math.pi * 40 * t, samples=33)
+    # 20 turns over 32 cells: each step jumps by 5/8 of a turn
+    loop = diagonal_unitary_loop((20,), samples=33)
     with pytest.raises(PhaseJumpTooLarge):
         loop_degree(loop)
 

@@ -187,6 +187,16 @@ def test_index_routines_need_based_paths():
         brake_maslov(path)
     with pytest.raises(ValidationError):
         brake_maslov(rotation_path(1.0, samples=65), k=3)
+    with pytest.raises(ValidationError):
+        brake_maslov_report(rotation_path(1.0, samples=65), k=3)
+    # based, but on an interval that does not start at 0
+    base = rotation_path(1.0)
+    times = np.linspace(0.5, 1.5, 65)
+    late = SymplecticPath(times, np.stack([base.value_at(t - 0.5) for t in times]),
+                          based=True)
+    for index in (brake_maslov, brake_maslov_report):
+        with pytest.raises(ValidationError):
+            index(late)
 
 
 def test_brake_index_second_lagrangian():
