@@ -304,6 +304,30 @@ class SymplecticPath:
             return np.asarray(self._evaluator(t), dtype=float)
         return _interpolate(self.times, self.values, t)
 
+    def values_at(self, ts):
+        """``value_at`` over the 1-d array ``ts``, stacked to (len(ts), 2n, 2n).
+
+        Element for element the same numbers as ``value_at``: the evaluator
+        is called per time when there is one; otherwise a time that is a
+        node gives its stored sample and any other time is interpolated.
+        """
+        ts = np.asarray(ts, dtype=float)
+        outside = (ts < self.times[0] - 1e-12) | (ts > self.times[-1] + 1e-12)
+        if np.any(outside):
+            t = float(ts[np.argmax(outside)])
+            raise ValidationError(f"t={t} outside [{self.a}, {self.b}]")
+        ts = np.clip(ts, self.times[0], self.times[-1])
+        if self._evaluator is not None:
+            out = np.empty((len(ts), 2 * self.n, 2 * self.n))
+            for k, t in enumerate(ts):
+                out[k] = self._evaluator(float(t))
+            return out
+        node = np.minimum(np.searchsorted(self.times, ts), len(self.times) - 1)
+        out = self.values[node]
+        for k in np.flatnonzero(self.times[node] != ts):
+            out[k] = _interpolate(self.times, self.values, float(ts[k]))
+        return out
+
     def end_value(self):
         return self.values[-1].copy()
 
@@ -313,7 +337,7 @@ class SymplecticPath:
             raise ValidationError("restriction interval outside the path domain")
         mask = (self.times > a + 1e-14) & (self.times < b - 1e-14)
         times = np.concatenate([[a], self.times[mask], [b]])
-        values = np.stack([self.value_at(t) for t in times])
+        values = self.values_at(times)
         based = self.based and abs(a - self.a) < 1e-15
         if based:
             values[0] = np.eye(2 * self.n)
@@ -558,6 +582,10 @@ def check_brake_symmetry(obj, kind=None, samples=None):
         n0 = brake_involution(obj.n)
         ts = obj.times if samples is None else np.linspace(obj.a, obj.b, samples)
         mono_inv = np.linalg.inv(obj.end_value())
+        if np.max(np.abs(ts + ts[::-1] - (obj.a + obj.b))) <= 1e-12 * obj.tau:
+            # the grid is symmetric, so node k reflects onto node m-1-k
+            vals = obj.values_at(ts)
+            return float(np.max(np.abs(vals[::-1] @ mono_inv - n0 @ vals @ n0)))
         res = 0.0
         for t in ts:
             lhs = obj.value_at(obj.b - (t - obj.a)) @ mono_inv
@@ -598,13 +626,15 @@ def pointwise_product(left, right):
         if abs(left.tau - right.tau) > 1e-12:
             raise ValidationError("loop period must match the path interval")
         lval = lambda t: left.value_at(t - right.a)
+        lvals = np.stack([lval(t) for t in times])
         left_based = np.max(np.abs(left.values[0] - np.eye(2 * left.n))) == 0.0
     else:
         if abs(left.a - right.a) > 1e-12 or abs(left.b - right.b) > 1e-12:
             raise ValidationError("paths must share an interval")
         lval = left.value_at
+        lvals = left.values_at(times)
         left_based = left.based
-    values = np.stack([lval(t) @ right.value_at(t) for t in times])
+    values = lvals @ right.values_at(times)
     based = right.based and left_based
     if based:
         values[0] = np.eye(values.shape[1])

@@ -40,6 +40,7 @@ class HamiltonianSystem:
         self.gradient = gradient
         self.name = name or "custom"
         self._hessian = hessian
+        self._j0 = standard_symplectic(self.n)
         if validate:
             self._probe()
 
@@ -80,8 +81,7 @@ class HamiltonianSystem:
 
     def field(self, z):
         """The Hamiltonian vector field J0 grad H."""
-        j0 = standard_symplectic(self.n)
-        return j0 @ np.asarray(self.gradient(z), dtype=float)
+        return self._j0 @ np.asarray(self.gradient(z), dtype=float)
 
 
 def harmonic_system(n=1):
@@ -142,27 +142,31 @@ def polynomial_system(n, terms, symmetric=True, name="polynomial"):
         z = np.asarray(z, dtype=float)
         return float(sum(c * np.prod(z ** e) for c, e in parsed))
 
+    # derivative tables (index, coefficient, exponents), built once
+    grad_terms = []
+    hess_terms = []
+    for c, e in parsed:
+        for i in np.nonzero(e)[0]:
+            d = e.copy()
+            d[i] -= 1
+            grad_terms.append((i, c * e[i], d))
+            for j in np.nonzero(d)[0]:
+                dd = d.copy()
+                dd[j] -= 1
+                hess_terms.append((i, j, c * e[i] * d[j], dd))
+
     def gradient(z):
         z = np.asarray(z, dtype=float)
         g = np.zeros(2 * n)
-        for c, e in parsed:
-            for i in np.nonzero(e)[0]:
-                d = e.copy()
-                d[i] -= 1
-                g[i] += c * e[i] * np.prod(z ** d)
+        for i, c, d in grad_terms:
+            g[i] += c * np.prod(z ** d)
         return g
 
     def hessian(z):
         z = np.asarray(z, dtype=float)
         h = np.zeros((2 * n, 2 * n))
-        for c, e in parsed:
-            for i in np.nonzero(e)[0]:
-                d = e.copy()
-                d[i] -= 1
-                for j in np.nonzero(d)[0]:
-                    dd = d.copy()
-                    dd[j] -= 1
-                    h[i, j] += c * e[i] * d[j] * np.prod(z ** dd)
+        for i, j, c, dd in hess_terms:
+            h[i, j] += c * np.prod(z ** dd)
         return 0.5 * (h + h.T)
 
     return HamiltonianSystem(n, value, gradient, hessian, name=name)
@@ -385,7 +389,7 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
     steps = config.ode_steps if steps is None else int(steps)
     if steps % 2:
         steps += 1
-    j0 = standard_symplectic(n)
+    j0 = system._j0
     h = orbit.period / steps
 
     def rhs(z, m):
@@ -403,7 +407,7 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
         kz4, km4 = rhs(z + h * kz3, m + h * km3)
         z = z + (h / 6.0) * (kz1 + 2 * kz2 + 2 * kz3 + kz4)
         m = m + (h / 6.0) * (km1 + 2 * km2 + 2 * km3 + km4)
-        m = project_symplectic(m)
+        m = project_symplectic(m, j0)
         frames[k + 1] = m
     return SymplecticPath(times, frames, based=True, config=config)
 

@@ -16,6 +16,7 @@ n) and takes the upper value at degenerate rotation angles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -56,13 +57,24 @@ class LagrangianPath:
 
     ``frame_fn(t)`` returns an orthonormal (2N, N) frame of the subspace
     at time t; ``j`` is the ambient complex structure defining the form
-    <J u, v>.
+    <J u, v>.  ``frames(ts)`` stacks the frames at many times; the
+    constructors below evaluate it in one batch, and a path built from a
+    plain ``frame_fn`` stacks its per-time frames.
     """
 
     def __init__(self, frame_fn, times, j):
         self.times = np.asarray(times, dtype=float)
         self._frame_fn = frame_fn
         self.j = np.asarray(j, dtype=float)
+        self._frames_fn = None
+
+    @classmethod
+    def _batched(cls, frame_fn, frames_fn, times, j):
+        """Path that also evaluates ``frames_fn(ts)`` -> (len(ts), 2N, N) in
+        one batch; it must stack exactly what ``frame_fn`` returns."""
+        path = cls(frame_fn, times, j)
+        path._frames_fn = frames_fn
+        return path
 
     @property
     def a(self):
@@ -76,7 +88,10 @@ class LagrangianPath:
     def constant(cls, lag: Lagrangian, interval, samples=17):
         times = np.linspace(float(interval[0]), float(interval[1]), samples)
         frame = lag.frame.copy()
-        return cls(lambda t: frame, times, lag.j)
+        return cls._batched(
+            lambda t: frame,
+            lambda ts: np.broadcast_to(frame, (len(ts),) + frame.shape),
+            times, lag.j)
 
     @classmethod
     def from_symplectic(cls, path: SymplecticPath, lag: Lagrangian):
@@ -87,7 +102,11 @@ class LagrangianPath:
             q, _ = np.linalg.qr(path.value_at(t) @ base)
             return q
 
-        return cls(frame_fn, path.times, lag.j)
+        def frames_fn(ts):
+            q, _ = np.linalg.qr(path.values_at(ts) @ base)
+            return q
+
+        return cls._batched(frame_fn, frames_fn, path.times, lag.j)
 
     @classmethod
     def graph(cls, path: SymplecticPath):
@@ -100,10 +119,24 @@ class LagrangianPath:
             q, _ = np.linalg.qr(stacked)
             return q
 
-        return cls(frame_fn, path.times, product_form(n))
+        def frames_fn(ts):
+            stacked = np.empty((len(ts), 4 * n, 2 * n))
+            stacked[:, : 2 * n] = ident
+            stacked[:, 2 * n :] = path.values_at(ts)
+            q, _ = np.linalg.qr(stacked)
+            return q
+
+        return cls._batched(frame_fn, frames_fn, path.times, product_form(n))
 
     def frame_at(self, t):
         return self._frame_fn(float(t))
+
+    def frames(self, ts):
+        """Frames at the 1-d array ``ts``, stacked to (len(ts), 2N, N)."""
+        ts = np.asarray(ts, dtype=float)
+        if self._frames_fn is not None:
+            return self._frames_fn(ts)
+        return np.stack([self._frame_fn(float(t)) for t in ts])
 
     def projector_at(self, t):
         f = self.frame_at(t)
@@ -111,13 +144,16 @@ class LagrangianPath:
 
     def reversed(self):
         a, b = self.a, self.b
-        fn = self._frame_fn
-        return LagrangianPath(lambda t: fn(a + b - t), self.times, self.j)
+        fn, batched = self._frame_fn, self._frames_fn
+        frames_fn = None if batched is None else (lambda ts: batched(a + b - ts))
+        return LagrangianPath._batched(lambda t: fn(a + b - t), frames_fn,
+                                       self.times, self.j)
 
     def restricted(self, a, b):
         keep = self.times[(self.times > a) & (self.times < b)]
         times = np.concatenate([[a], keep, [b]])
-        return LagrangianPath(self._frame_fn, times, self.j)
+        return LagrangianPath._batched(self._frame_fn, self._frames_fn,
+                                       times, self.j)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,9 +171,10 @@ class IndexReport:
     endpoint_nullities: tuple
 
 
-def _stacked_sigma(l1, l2, t):
+def _sigma_min(l1, l2, t):
+    """Smallest singular value of the stacked frames of l1 and l2 at t."""
     m = np.hstack([l1.frame_at(t), l2.frame_at(t)])
-    return np.linalg.svd(m, compute_uv=False)
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def _intersection_data(l1, l2, t, rank_tol):
@@ -185,12 +222,144 @@ def _form_counts(q):
     return pos - neg, regular
 
 
+def _refine_dip(sigma_of, tl, tr, span):
+    """(t, sigma) at the bottom of a dip of ``sigma_of`` inside (tl, tr)."""
+    res = scipy.optimize.minimize_scalar(
+        sigma_of, bounds=(tl, tr), method="bounded",
+        options={"xatol": max(_TIME_TOL * span, 1e-14)},
+    )
+    t_hat = float(res.x)
+    s_hat = float(res.fun)
+    # At a crossing the dip is a kink |t - t*|, not a smooth minimum,
+    # and bounded Brent stalls at its sqrt(eps)*|t| floor, well above
+    # rank_tol.  Refine by intersecting secant lines fitted to the two
+    # branches; near misses keep a positive floor and stay rejected.
+    d = max(2e-7 * max(1.0, abs(t_hat)), 1e-12 * span)
+    if 4 * d > tr - tl:
+        d = (tr - tl) / 8
+    for _ in range(2):
+        pts = [t_hat - 2 * d, t_hat - d, t_hat + d, t_hat + 2 * d]
+        sl2, sl1, sr1, sr2 = (sigma_of(t) for t in pts)
+        ml = (sl1 - sl2) / d
+        mr = (sr2 - sr1) / d
+        if mr - ml <= 0:
+            break
+        t_star = (sl1 - sr1 + mr * pts[2] - ml * pts[1]) / (mr - ml)
+        if not (tl < t_star < tr):
+            break
+        s_star = sigma_of(t_star)
+        if s_star < s_hat:
+            t_hat, s_hat = t_star, s_star
+        d /= 8
+    return t_hat, s_hat
+
+
+def _winding_doubled(f1, f2, j, nullities):
+    """Twice the pair index, counted by eigenphases; None when undecided.
+
+    With E the first frame of ``f1`` and j E its rotation, [E, jE]
+    identifies R^{2N} with C^N so that j acts as i, and a frame F becomes
+    the unitary Z = E^T F + i (jE)^T F.  The eigenvalues of the Souriau
+    map A = V V^T, V = Z1^* Z2, equal 1 exactly on the intersection of
+    the two Lagrangians, and the index is the net number of eigenphases
+    of A passing through 0: the unwrapped arg det A less the endpoint
+    phases taken in [0, 2 pi), where the phases of the endpoint
+    intersections (``nullities``) count as pi, which gives them half
+    weight.  Interior crossings are counted without being located
+    (Robbin-Salamon 1993; Arnold 1967 for the map).  Undecided when a
+    step of arg det A between samples exceeds pi/2 or the count is not
+    a half-integer.
+    """
+    e = f1[0]
+    je = j @ e
+
+    def unitary(f):
+        z = np.empty(f.shape[:-2] + (e.shape[1],) * 2, dtype=complex)
+        z.real = e.T @ f
+        z.imag = je.T @ f
+        return z
+
+    phase = 2.0 * np.angle(np.conj(np.linalg.det(unitary(f1)))
+                           * np.linalg.det(unitary(f2)))
+    steps = np.angle(np.exp(1j * np.diff(phase)))
+    if np.max(np.abs(steps)) > math.pi / 2:
+        return None
+
+    def endpoint_phases(k, dim):
+        v = unitary(f1[k]).conj().T @ unitary(f2[k])
+        theta = np.angle(np.linalg.eigvals(v @ v.T))
+        r = np.mod(theta, 2 * math.pi)
+        r[np.argsort(np.abs(theta))[:dim]] = math.pi
+        return float(np.sum(r))
+
+    count = (float(np.sum(steps)) - endpoint_phases(-1, nullities[1])
+             + endpoint_phases(0, nullities[0])) / math.pi
+    doubled = round(count)
+    if abs(count - doubled) > 0.1:
+        return None
+    return int(doubled)
+
+
+def _missing_crossings(lam1, lam2, grid, sig_min, known, deficit, eval_form,
+                       rank_tol):
+    """Crossings hidden next to the ``known`` ones, up to ``deficit``.
+
+    Crossings closer together than a grid cell or two share one dip of
+    the scan, which shows one of them.  The others are looked for on
+    each side of a known crossing, out to where the scanned ``sig_min`` stops
+    rising, on points spaced geometrically away from it so that a
+    neighbour shows as its own dip at any distance.  A crossing counts
+    only when its form is regular and its sign is the missing one
+    (``deficit`` is doubled, like the index).
+    """
+    a, b = float(grid[0]), float(grid[-1])
+    span = b - a
+    sigma_of = functools.partial(_sigma_min, lam1, lam2)
+    found = []
+    for t0 in sorted(c.time for c in known):
+        for step in (-1, 1):
+            # the node next to t0 on this side, then outward while sig_min rises
+            k = int(np.searchsorted(grid, t0, side="right" if step > 0 else "left"))
+            k = k if step > 0 else k - 1
+            if deficit == 0 or not 0 <= k < len(grid):
+                continue
+            while 0 < k < len(grid) - 1 and sig_min[k + step] >= sig_min[k]:
+                k += step
+            reach = abs(float(grid[k]) - t0)
+            if reach <= 1e-7 * span:
+                continue
+            side = t0 + step * np.geomspace(1e-7 * span, reach, 64)
+            sig = np.linalg.svd(
+                np.concatenate([lam1.frames(side), lam2.frames(side)], axis=2),
+                compute_uv=False)[:, -1]
+            for i in range(1, len(side) - 1):
+                if deficit == 0 or sig[i] > min(sig[i - 1], sig[i + 1]):
+                    continue
+                lo, hi = sorted((float(side[i - 1]), float(side[i + 1])))
+                t_new, s_new = _refine_dip(sigma_of, lo, hi, span)
+                if (s_new > rank_tol
+                        or min(t_new - a, b - t_new) < 10 * _TIME_TOL * span
+                        or any(abs(t_new - c.time) < 1e-7 * span for c in known + found)):
+                    continue
+                dim, basis = _intersection_data(lam1, lam2, t_new, max(rank_tol, 1e-7))
+                if dim == 0:
+                    continue
+                signature, regular = _form_counts(eval_form(t_new, basis, "center"))
+                if regular and signature * deficit > 0 and 2 * abs(signature) <= abs(deficit):
+                    found.append(Crossing(t_new, dim, signature, regular))
+                    deficit -= 2 * signature
+    return found
+
+
 def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
     """Robbin-Salamon index of the pair (lam1, lam2) over their interval.
 
     Interior crossings count their full signature, endpoint crossings
     half.  Crossings are located by shrinking the bracket around each dip
-    of the smallest singular value of the stacked frames.  ``strict``
+    of the smallest singular value of the stacked frames.  Their count is
+    checked against the eigenphase count of ``_winding_doubled``; when it
+    shows that a dip hid more crossings than it showed, the missing ones
+    are looked for next to the located ones.  ``strict``
     raises IrregularCrossing on a singular crossing form; otherwise the
     crossing is flagged and its signature still accumulated.  Intersection
     dimensions are rank decisions under ``config.tol_rank``.
@@ -207,7 +376,9 @@ def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
     a, b = lam2.a, lam2.b
     span = b - a
     grid = np.union1d(lam1.times, lam2.times)
-    sig_min = np.array([_stacked_sigma(lam1, lam2, t)[-1] for t in grid])
+    f1, f2 = lam1.frames(grid), lam2.frames(grid)
+    sig_min = np.linalg.svd(np.concatenate([f1, f2], axis=2),
+                            compute_uv=False)[:, -1]
 
     h = 1e-6 * span
     crossings = []
@@ -228,6 +399,8 @@ def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
                     f"singular crossing form at endpoint t={t_end:.6g}"
                 )
             crossings.append(Crossing(t_end, dim, sig, regular))
+    winding = _winding_doubled(f1, f2, lam1.j, endpoint_nullities)
+    del f1, f2
 
     # interior dips of the rank indicator
     suspicion = 0.15
@@ -238,37 +411,11 @@ def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
         if sig_min[i] <= sig_min[i - 1] and sig_min[i] <= sig_min[i + 1]:
             interior.append(i)
 
-    sigma_of = lambda t: float(_stacked_sigma(lam1, lam2, t)[-1])
+    sigma_of = functools.partial(_sigma_min, lam1, lam2)
     located = []
     for i in interior:
         tl, tr = float(grid[i - 1]), float(grid[i + 1])
-        res = scipy.optimize.minimize_scalar(
-            sigma_of, bounds=(tl, tr), method="bounded",
-            options={"xatol": max(_TIME_TOL * span, 1e-14)},
-        )
-        t_hat = float(res.x)
-        s_hat = float(res.fun)
-        # At a crossing the dip is a kink |t - t*|, not a smooth minimum,
-        # and bounded Brent stalls at its sqrt(eps)*|t| floor, well above
-        # rank_tol.  Refine by intersecting secant lines fitted to the two
-        # branches; near misses keep a positive floor and stay rejected.
-        d = max(2e-7 * max(1.0, abs(t_hat)), 1e-12 * span)
-        if 4 * d > tr - tl:
-            d = (tr - tl) / 8
-        for _ in range(2):
-            pts = [t_hat - 2 * d, t_hat - d, t_hat + d, t_hat + 2 * d]
-            sl2, sl1, sr1, sr2 = (sigma_of(t) for t in pts)
-            ml = (sl1 - sl2) / d
-            mr = (sr2 - sr1) / d
-            if mr - ml <= 0:
-                break
-            t_star = (sl1 - sr1 + mr * pts[2] - ml * pts[1]) / (mr - ml)
-            if not (tl < t_star < tr):
-                break
-            s_star = sigma_of(t_star)
-            if s_star < s_hat:
-                t_hat, s_hat = t_star, s_star
-            d /= 8
+        t_hat, s_hat = _refine_dip(sigma_of, tl, tr, span)
         if s_hat > rank_tol:
             continue  # shallow dip, no actual intersection
         if t_hat - a < 10 * _TIME_TOL * span or b - t_hat < 10 * _TIME_TOL * span:
@@ -306,10 +453,15 @@ def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
             )
         crossings.append(Crossing(t_hat, dim, sig, regular))
 
-    doubled = 0
-    for c in crossings:
-        weight = 1 if (abs(c.time - a) < 1e-9 * span or abs(c.time - b) < 1e-9 * span) else 2
-        doubled += weight * c.signature
+    def doubled_sum():
+        return sum((1 if min(abs(c.time - a), abs(c.time - b)) < 1e-9 * span else 2)
+                   * c.signature for c in crossings)
+
+    doubled = doubled_sum()
+    if winding is not None and winding != doubled and all(c.regular for c in crossings):
+        crossings += _missing_crossings(lam1, lam2, grid, sig_min, crossings,
+                                        winding - doubled, eval_form, rank_tol)
+        doubled = doubled_sum()
     crossings.sort(key=lambda c: c.time)
     return IndexReport(HalfInt(doubled), tuple(crossings),
                        tuple(endpoint_nullities))

@@ -33,6 +33,8 @@ from brakeindex.errors import (
     SymplecticityLost,
     ValidationError,
 )
+from brakeindex.hamiltonian import find_brake_orbit, linearized_path, polynomial_system
+from brakeindex.moduli import iterate_path
 
 
 def test_halfint_arithmetic():
@@ -284,3 +286,101 @@ def test_brake_symmetry_residual_detects_violation():
     crooked = SymplecticPath(times, np.stack([skew(t) for t in times]),
                              based=True, evaluator=skew)
     assert check_brake_symmetry(crooked) > 1e-3
+
+
+def _nodes_and_cells(times, every=16):
+    """Every node, then one point inside every ``every``-th cell."""
+    inside = times[:-1:every] + 0.37 * np.diff(times)[::every]
+    return np.concatenate([times, inside])
+
+
+def test_values_at_equals_stacked_value_at():
+    exact = rotation_path(3.0, samples=33)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    loop = diagonal_unitary_loop((1,), samples=33)
+    paths = [
+        exact, sampled,
+        exact.restricted(0.2, 0.9), sampled.restricted(0.25, 0.75),
+        exact.reversed(), sampled.reversed(),
+        iterate_path(exact, 3), iterate_path(sampled, 2),
+        pointwise_product(loop, sampled), pointwise_product(exact, sampled),
+    ]
+    for path in paths:
+        ts = _nodes_and_cells(path.times, every=8)
+        want = np.stack([path.value_at(t) for t in ts])
+        assert np.array_equal(path.values_at(ts), want)
+    with pytest.raises(ValidationError):
+        sampled.values_at([0.5, 1.1])
+
+
+def test_derived_paths_sample_their_source_exactly():
+    exact = rotation_path(3.0, samples=65)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    sub = sampled.restricted(0.21, 0.75)
+    want = np.stack([sampled.value_at(t) for t in sub.times])
+    assert np.array_equal(sub.values, want)
+    loop = diagonal_unitary_loop((1,), samples=65)
+    for left, lval in ((loop, loop.value_at), (exact, exact.value_at)):
+        prod = pointwise_product(left, sampled)
+        want = np.stack([lval(t) @ sampled.value_at(t) for t in sampled.times[1:]])
+        assert np.array_equal(prod.values[1:], want)
+
+
+def _pointwise_brake_residual(path, ts):
+    """The brake residual of a path, one reflected time after another."""
+    n0 = brake_involution(path.n)
+    mono_inv = np.linalg.inv(path.end_value())
+    res = 0.0
+    for t in ts:
+        lhs = path.value_at(path.b - (t - path.a)) @ mono_inv
+        rhs = n0 @ path.value_at(t) @ n0
+        res = max(res, float(np.max(np.abs(lhs - rhs))))
+    return res
+
+
+def test_symmetric_grid_route_matches_pointwise_route():
+    quartic = polynomial_system(1, [(0.5, (2, 0)), (0.5, (0, 2)), (0.15, (0, 4))])
+    orbit = find_brake_orbit(quartic, 0.5, np.array([0.9]), 5.6, steps=256)
+    # N0 S(-t) N0 = S(t): diagonal part even in t, coupling odd
+    coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
+    coeff = lambda t: (np.diag([2.0 + 0.5 * math.cos(2 * math.pi * t), 3.0])
+                       + 0.4 * math.sin(2 * math.pi * t) * coupling)
+    for path in (linearized_path(orbit, steps=512),
+                 fundamental_solution(coeff, steps=512)):
+        fast = check_brake_symmetry(path)
+        assert fast < 1e-7
+        assert abs(fast - _pointwise_brake_residual(path, path.times)) < 1e-12
+        ts = np.linspace(path.a, path.b, 97)
+        slow = _pointwise_brake_residual(path, ts)
+        assert abs(check_brake_symmetry(path, samples=97) - slow) < 1e-12
+
+
+def _geometric_grid(samples=33):
+    return (np.geomspace(1.0, 3.0, samples) - 1.0) / 2.0
+
+
+def _sampled_rotation(angle, times):
+    return np.stack([_rotation(angle(t)) for t in times])
+
+
+def test_asymmetric_grid_falls_back_to_pointwise_route():
+    times = _geometric_grid()
+    assert np.max(np.abs(times + times[::-1] - 1.0)) > 1e-3
+    angle = lambda t: 2.0 * t
+    for evaluator in (lambda t: _rotation(angle(t)), None):
+        path = SymplecticPath(times, _sampled_rotation(angle, times), based=True,
+                              evaluator=evaluator)
+        res = check_brake_symmetry(path)
+        # reversing the node order of this grid does not reflect time, so
+        # only the per-point route reads a brake-symmetric path as symmetric
+        assert res == _pointwise_brake_residual(path, times)
+        assert res < 1e-8
+
+
+def test_violation_shows_on_either_grid():
+    angle = lambda t: 2.0 * t + 0.3 * t * t
+    for times in (np.linspace(0.0, 1.0, 129), _geometric_grid()):
+        for evaluator in (lambda t: _rotation(angle(t)), None):
+            crooked = SymplecticPath(times, _sampled_rotation(angle, times),
+                                     based=True, evaluator=evaluator)
+            assert check_brake_symmetry(crooked) > 1e-3

@@ -65,6 +65,41 @@ def test_polynomial_gradient_and_hessian():
     assert np.max(np.abs(hess - fd_hess)) < 1e-6
 
 
+def test_polynomial_derivative_tables_match_per_term_sums():
+    # reference: the derivative of every term, formed at each call
+    terms = [(0.5, (2, 0, 0, 0)), (0.7, (0, 2, 1, 0)), (0.5, (0, 0, 2, 0)),
+             (0.5, (0, 0, 0, 2)), (0.15, (0, 0, 3, 1)), (-0.2, (2, 0, 0, 2))]
+    sysp = polynomial_system(2, terms)
+    parsed = [(float(c), np.asarray(e)) for c, e in terms]
+
+    def gradient(z):
+        g = np.zeros(4)
+        for c, e in parsed:
+            for i in np.nonzero(e)[0]:
+                d = e.copy()
+                d[i] -= 1
+                g[i] += c * e[i] * np.prod(z ** d)
+        return g
+
+    def hessian(z):
+        h = np.zeros((4, 4))
+        for c, e in parsed:
+            for i in np.nonzero(e)[0]:
+                d = e.copy()
+                d[i] -= 1
+                for j in np.nonzero(d)[0]:
+                    dd = d.copy()
+                    dd[j] -= 1
+                    h[i, j] += c * e[i] * d[j] * np.prod(z ** dd)
+        return 0.5 * (h + h.T)
+
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        z = rng.standard_normal(4)
+        assert np.array_equal(sysp.gradient(z), gradient(z))
+        assert np.array_equal(sysp.hessian(z), hessian(z))
+
+
 def test_polynomial_brake_symmetry_enforced():
     # a term odd in p cannot appear in a brake-symmetric Hamiltonian
     with pytest.raises(ValidationError):

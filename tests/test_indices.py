@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+from brakeindex.asymptotic import SymmetricLoop
 from brakeindex.core import (
     HalfInt,
     SymplecticPath,
     diagonal_unitary_loop,
+    fundamental_solution,
     hyperbolic_path,
     lagrangian_l1,
     rotation_path,
@@ -219,3 +222,121 @@ def test_lagrangian_path_graph_dimensions():
     assert graph.frame_at(0.3).shape == (8, 4)
     proj = graph.projector_at(0.3)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-10
+
+
+def test_frames_equal_stacked_frame_at():
+    exact = rotation_path(3.0, n=2, samples=33)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    lag = lagrangian_l1(2)
+    moving = LagrangianPath.from_symplectic(sampled, lag)
+    graph = LagrangianPath.graph(sampled)
+    paths = [
+        LagrangianPath.constant(lag, (0.0, 1.0)),
+        moving, LagrangianPath.from_symplectic(exact, lag),
+        graph, LagrangianPath.graph(exact),
+        moving.restricted(0.2, 0.7), graph.restricted(0.1, 0.6),
+        moving.reversed(), graph.reversed().restricted(0.3, 0.9),
+        _angle_path(lambda t: 3.0 * t, samples=33),
+        _angle_path(lambda t: 3.0 * t, samples=33).reversed(),
+    ]
+    for path in paths:
+        inside = path.times[:-1:8] + 0.37 * np.diff(path.times)[::8]
+        ts = np.concatenate([path.times, inside])
+        want = np.stack([path.frame_at(t) for t in ts])
+        assert np.array_equal(path.frames(ts), want)
+
+
+def test_frame_at_keeps_its_per_time_construction():
+    exact = rotation_path(3.0, n=2, samples=33)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    lag = lagrangian_l1(2)
+    moving = LagrangianPath.from_symplectic(sampled, lag)
+    graph = LagrangianPath.graph(sampled)
+    for t in (0.0, sampled.times[5], 0.4321, 1.0):
+        value = sampled.value_at(t)
+        assert np.array_equal(moving.frame_at(t), np.linalg.qr(value @ lag.frame)[0])
+        stacked = np.vstack([np.eye(4), value])
+        assert np.array_equal(graph.frame_at(t), np.linalg.qr(stacked)[0])
+
+
+def _two_rate_path(turns, rel, mix=0.0, samples=1025):
+    """U^T diag(R(w1 t), R(w2 t)) U on [0, 1], w2 = w1 (1 + rel).
+
+    Each plane meets the diagonal where its own rotation closes, so the
+    crossings come in pairs a relative distance ``rel`` apart: closer than
+    one grid cell.  U = exp(mix J0 K), K mixing the planes, is symplectic
+    and orthogonal, so it changes no index.
+    """
+    w = [2 * math.pi * turns, 2 * math.pi * turns * (1 + rel)]
+    k = np.zeros((4, 4))
+    k[0, 1] = k[1, 0] = k[2, 3] = k[3, 2] = 1.0
+    u = scipy.linalg.expm(mix * standard_symplectic(2) @ k)
+
+    def at(t):
+        m = np.zeros((4, 4))
+        for i, wi in enumerate(w):
+            c, s = math.cos(wi * t), math.sin(wi * t)
+            m[i, i], m[i, i + 2], m[i + 2, i], m[i + 2, i + 2] = c, -s, s, c
+        return u.T @ m @ u
+
+    times = np.linspace(0.0, 1.0, samples)
+    values = np.stack([at(t) for t in times])
+    values[0] = np.eye(4)
+    return SymplecticPath(times, values, based=True, evaluator=at), w
+
+
+@pytest.mark.parametrize("turns, rel, mix", [
+    (1.3, 1e-4, 0.0), (2.2, 4e-4, 0.0), (2.7, 2e-4, 0.7), (1.6, 1e-4, 0.3),
+    (2.0, 2e-4, 0.0),  # the first plane closes exactly at the end
+])
+def test_crossings_sharing_a_cell_are_all_counted(turns, rel, mix):
+    path, w = _two_rate_path(turns, rel, mix)
+    turns_of = [wi / (2 * math.pi) for wi in w]
+    floors = [math.floor(x) for x in turns_of]
+    # cz takes the upper value 2k + 1 at a full turn; mu1 is k there
+    rep = conley_zehnder_report(path)
+    assert rep.value == HalfInt.from_int(sum(2 * f + 1 for f in floors))
+    roots = sorted(2 * math.pi * j / wi for wi, f in zip(w, floors)
+                   for j in range(1, f + 1))
+    interior = sorted(c.time for c in rep.crossings if c.time > 0)
+    assert interior == pytest.approx(roots, abs=1e-7)
+    mu1 = brake_maslov_report(path)
+    assert mu1.value == HalfInt(sum(2 * f + (x != f) for x, f in zip(turns_of, floors)))
+
+
+# Two brake-symmetric loops diag(w, w) + P(t) with sup |P| below the
+# distance of each w_i from 2 pi Z, so cz is that of the constant loop
+# (Weyl's inequality).  P splits each dim-2 crossing of diag(w, w) into
+# two dim-1 crossings less than two grid cells apart.
+_SPLIT_LOOPS = [
+    (2048, [8.278, 4.846], {
+        "cos": {1: [[0.131, -0.043, 0.0, 0.0], [-0.043, 0.101, 0.0, 0.0],
+                    [0.0, 0.0, -0.124, -0.011], [0.0, 0.0, -0.011, -0.109]],
+                2: [[-0.097, -0.12, 0.0, 0.0], [-0.12, 0.001, 0.0, 0.0],
+                    [0.0, 0.0, 0.029, -0.036], [0.0, 0.0, -0.036, 0.056]]},
+        "sin": {1: [[0.0, 0.0, -0.017, 0.047], [0.0, 0.0, 0.04, 0.12],
+                    [-0.017, 0.04, 0.0, 0.0], [0.047, 0.12, 0.0, 0.0]],
+                2: [[0.0, 0.0, 0.04, 0.104], [0.0, 0.0, 0.129, 0.115],
+                    [0.04, 0.129, 0.0, 0.0], [0.104, 0.115, 0.0, 0.0]]}}),
+    (4096, [4.843, 11.142], {
+        "cos": {1: [[-0.035, -0.077, 0.0, 0.0], [-0.077, 0.086, 0.0, 0.0],
+                    [0.0, 0.0, 0.028, 0.043], [0.0, 0.0, 0.043, 0.039]],
+                2: [[0.047, -0.042, 0.0, 0.0], [-0.042, -0.007, 0.0, 0.0],
+                    [0.0, 0.0, 0.075, 0.048], [0.0, 0.0, 0.048, 0.056]]},
+        "sin": {1: [[0.0, 0.0, -0.088, 0.068], [0.0, 0.0, 0.048, -0.056],
+                    [-0.088, 0.048, 0.0, 0.0], [0.068, -0.056, 0.0, 0.0]],
+                2: [[0.0, 0.0, -0.002, 0.046], [0.0, 0.0, 0.069, 0.02],
+                    [-0.002, 0.069, 0.0, 0.0], [0.046, 0.02, 0.0, 0.0]]}}),
+]
+
+
+@pytest.mark.parametrize("steps, w, terms", _SPLIT_LOOPS)
+def test_split_crossings_of_a_perturbed_loop_are_counted(steps, w, terms):
+    parts = {k: {order: np.array(m) for order, m in v.items()} for k, v in terms.items()}
+    loop = SymmetricLoop.fourier(np.diag(w + w), **parts)
+    path = fundamental_solution(loop, (0.0, 1.0), steps=steps)
+    want = sum(2 * math.floor(wi / (2 * math.pi)) + 1 for wi in w)
+    rep = conley_zehnder_report(path)
+    assert rep.value == HalfInt.from_int(want)
+    # a plane with floor f crosses 2 f times, once per split half
+    assert sum(c.dim for c in rep.crossings if c.time > 0) == want - 2
