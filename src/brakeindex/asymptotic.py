@@ -153,29 +153,17 @@ def _assemble(op: AsymptoticOperator, K):
     return (a + a.T) / 2.0
 
 
-def _brake_basis(K, n):
-    """Columns spanning the w(-t) = N0 w(t) subspace in mode coordinates."""
+def _brake_block(a, K, n):
+    """The block of the Galerkin matrix on the w(-t) = N0 w(t) subspace,
+    whose mode coordinates are the constant and cos modes valued in
+    L1 = fix(N0) (components n..2n-1) and the sin modes in L2
+    (components 0..n-1)."""
     two_n = 2 * n
-    p_count = 2 * K + 1
-    dim = p_count * two_n
-    cols = []
-    # constants valued in L1 = fix(N0): components n..2n-1
-    for i in range(n, two_n):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        cols.append(e)
+    idx = list(range(n, two_n))
     for k in range(1, K + 1):
-        ic = (2 * k - 1) * two_n
-        isn = 2 * k * two_n
-        for i in range(n, two_n):  # cos modes in L1
-            e = np.zeros(dim)
-            e[ic + i] = 1.0
-            cols.append(e)
-        for i in range(0, n):  # sin modes in L2
-            e = np.zeros(dim)
-            e[isn + i] = 1.0
-            cols.append(e)
-    return np.stack(cols, axis=1)
+        idx += range((2 * k - 1) * two_n + n, 2 * k * two_n)
+        idx += range(2 * k * two_n, 2 * k * two_n + n)
+    return a[np.ix_(idx, idx)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,14 +186,12 @@ def discretize(op: AsymptoticOperator, K=None, check_stability=True, *,
     K = config.fourier_K if K is None else int(K)
     a = _assemble(op, K)
     if op.domain == BRAKE:
-        q = _brake_basis(K, op.loop.n)
-        a = q.T @ a @ q
+        a = _brake_block(a, K, op.loop.n)
     eigs = np.linalg.eigvalsh(a)
     if check_stability:
         a2 = _assemble(op, 2 * K)
         if op.domain == BRAKE:
-            q2 = _brake_basis(2 * K, op.loop.n)
-            a2 = q2.T @ a2 @ q2
+            a2 = _brake_block(a2, 2 * K, op.loop.n)
         eigs2 = np.linalg.eigvalsh(a2)
         near = eigs2[np.abs(eigs2) < _STABILITY_WINDOW]
         for lam in near:
@@ -308,8 +294,7 @@ def spectral_flow(family: OperatorFamily, K=None, max_multiplicity=None, *,
         if s not in cache:
             a = _assemble(family.operator_at(s), K)
             if family.domain == BRAKE:
-                q = _brake_basis(K, family.n)
-                a = q.T @ a @ q
+                a = _brake_block(a, K, family.n)
             cache[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
         return cache[s]
 

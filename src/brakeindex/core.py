@@ -408,7 +408,30 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
     return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
-def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None, n=None,
+def _rk4(rhs, y0, t0, h, steps, correct=None):
+    """Classical RK4 for y' = rhs(t, y): ``steps`` steps of size h from t0.
+
+    Returns the (steps + 1,) + y0.shape samples.  Each new sample y at
+    time t goes through ``correct(t, y)``, which returns it (possibly
+    projected) or raises, so a failure stops the loop at its step.
+    """
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((steps + 1,) + y.shape)
+    out[0] = y
+    for i in range(steps):
+        t = t0 + i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if correct is not None:
+            y = correct(t0 + (i + 1) * h, y)
+        out[i + 1] = y
+    return out
+
+
+def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
                          config: Config = DEFAULT):
     """Solve gamma' = J0 B(t) gamma, gamma(a) = I, by classical RK4.
 
@@ -421,39 +444,25 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None, n=None,
     a, b = float(interval[0]), float(interval[1])
     steps = config.ode_steps if steps is None else int(steps)
     tol = config.tol_symplectic
-    probe = np.asarray(b_of_t(a), dtype=float)
-    if n is None:
-        n = probe.shape[0] // 2
+    n = np.asarray(b_of_t(a), dtype=float).shape[0] // 2
     j = standard_symplectic(n)
-    ident = np.eye(2 * n)
 
     def rhs(t, g):
         return j @ np.asarray(b_of_t(t), dtype=float) @ g
 
-    def rk4_step(t, g, h):
-        k1 = rhs(t, g)
-        k2 = rhs(t + h / 2, g + h / 2 * k1)
-        k3 = rhs(t + h / 2, g + h / 2 * k2)
-        k4 = rhs(t + h, g + h * k3)
-        out = g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return project_symplectic(out, j)
+    def projected(t, g):
+        return project_symplectic(g, j)
 
-    h = (b - a) / steps
-    times = np.empty(steps + 1)
-    values = np.empty((steps + 1, 2 * n, 2 * n))
-    times[0] = a
-    values[0] = ident
-    g = ident.copy()
-    for i in range(steps):
-        t = a + i * h
-        g = rk4_step(t, g, h)
-        times[i + 1] = a + (i + 1) * h
-        values[i + 1] = g
+    def checked(t, g):
+        g = project_symplectic(g, j)
         res = symplectic_residual(g, j)
         if res > tol:
-            raise SymplecticityLost(
-                f"residual {res:.2e} at t={times[i + 1]:.6g} exceeds {tol:.1e}"
-            )
+            raise SymplecticityLost(f"residual {res:.2e} at t={t:.6g} exceeds {tol:.1e}")
+        return g
+
+    h = (b - a) / steps
+    times = a + np.arange(steps + 1) * h
+    values = _rk4(rhs, np.eye(2 * n), a, h, steps, correct=checked)
 
     def at(t):
         t = float(t)
@@ -464,7 +473,7 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None, n=None,
             return values[i].copy()
         if i == steps:
             return values[-1].copy()
-        return rk4_step(t0, values[i].copy(), t - t0)
+        return _rk4(rhs, values[i], t0, t - t0, 1, correct=projected)[1]
 
     return SymplecticPath(times, values, based=True, evaluator=at,
                           config=dataclasses.replace(config, tol_symplectic=10 * tol))

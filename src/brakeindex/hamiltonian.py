@@ -12,7 +12,13 @@ import dataclasses
 import numpy as np
 
 from .config import DEFAULT, Config
-from .core import SymplecticPath, brake_involution, project_symplectic, standard_symplectic
+from .core import (
+    SymplecticPath,
+    _rk4,
+    brake_involution,
+    project_symplectic,
+    standard_symplectic,
+)
 from .errors import (
     DegenerateOrbit,
     EnergyDrift,
@@ -22,6 +28,11 @@ from .errors import (
     SymmetryViolated,
     ValidationError,
 )
+
+# field symmetry residual accepted by find_brake_orbit
+_SYMMETRY_TOL = 1e-8
+# smallest z . grad H / 2, relative to |z| |grad H|, accepted by reeb_factor
+_RADIAL_TOL = 1e-10
 
 
 class HamiltonianSystem:
@@ -188,23 +199,16 @@ def check_field_symmetry(system, samples=8, seed=7):
     return worst
 
 
+def _escape_check(t, z):
+    if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e8:
+        raise LeftEnergySurface("trajectory escaped to infinity")
+    return z
+
+
 def _rk4_state(system, z0, t_span, steps):
     t0, t1 = t_span
-    h = (t1 - t0) / steps
-    z = np.asarray(z0, dtype=float).copy()
-    out = np.empty((steps + 1, z.size))
-    out[0] = z
-    f = system.field
-    for k in range(steps):
-        k1 = f(z)
-        k2 = f(z + 0.5 * h * k1)
-        k3 = f(z + 0.5 * h * k2)
-        k4 = f(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e8:
-            raise LeftEnergySurface("trajectory escaped to infinity")
-        out[k + 1] = z
-    return out
+    return _rk4(lambda t, z: system.field(z), z0, t0, (t1 - t0) / steps, steps,
+                correct=_escape_check)
 
 
 def integrate_orbit(system, z0, t_span, steps=None, config: Config = DEFAULT,
@@ -281,7 +285,7 @@ def _rescale_to_energy(system, q, energy):
 
 
 def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEFAULT,
-                     steps=1024, tol=1e-10, symmetry_tol=1e-8):
+                     steps=1024, tol=1e-10):
     """Shoot for a brake orbit: start at (0, q) on the energy level and
     demand p(T/2) = 0.
 
@@ -292,7 +296,7 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
     LeftEnergySurface when trajectories escape.
     """
     sym = check_field_symmetry(system)
-    if sym > symmetry_tol:
+    if sym > _SYMMETRY_TOL:
         raise SymmetryViolated(
             f"field is not brake symmetric (residual {sym:.3e})"
         )
@@ -390,36 +394,31 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
     if steps % 2:
         steps += 1
     j0 = system._j0
-    h = orbit.period / steps
 
-    def rhs(z, m):
-        return system.field(z), j0 @ system.hessian(z) @ m
+    def rhs(t, y):
+        z = y[0]
+        return np.concatenate((system.field(z)[None], j0 @ system.hessian(z) @ y[1:]))
 
-    z = orbit.start.copy()
-    m = np.eye(2 * n)
+    def projected(t, y):
+        y[1:] = project_symplectic(y[1:], j0)
+        return y
+
+    # row 0 is the state z, rows 1: the frame
+    y0 = np.vstack([orbit.start, np.eye(2 * n)])
+    packed = _rk4(rhs, y0, 0.0, orbit.period / steps, steps, correct=projected)
     times = np.linspace(0.0, orbit.period, steps + 1)
-    frames = np.empty((steps + 1, 2 * n, 2 * n))
-    frames[0] = m
-    for k in range(steps):
-        kz1, km1 = rhs(z, m)
-        kz2, km2 = rhs(z + 0.5 * h * kz1, m + 0.5 * h * km1)
-        kz3, km3 = rhs(z + 0.5 * h * kz2, m + 0.5 * h * km2)
-        kz4, km4 = rhs(z + h * kz3, m + h * km3)
-        z = z + (h / 6.0) * (kz1 + 2 * kz2 + 2 * kz3 + kz4)
-        m = m + (h / 6.0) * (km1 + 2 * km2 + 2 * km3 + km4)
-        m = project_symplectic(m, j0)
-        frames[k + 1] = m
-    return SymplecticPath(times, frames, based=True, config=config)
+    return SymplecticPath(times, np.ascontiguousarray(packed[:, 1:]), based=True,
+                          config=config)
 
 
-def reeb_factor(system, z, tol=1e-10):
+def reeb_factor(system, z):
     """Reparametrization factor from Hamiltonian to Reeb flow on a
     star-shaped level: 1 / (z . grad H / 2)."""
     z = np.asarray(z, dtype=float)
     g = np.asarray(system.gradient(z), dtype=float)
     radial = 0.5 * float(np.dot(z, g))
     scale = 1.0 + float(np.linalg.norm(z) * np.linalg.norm(g))
-    if abs(radial) < tol * scale:
+    if abs(radial) < _RADIAL_TOL * scale:
         raise RadialDegeneracy(
             "level set is not transverse to the radial field at this point"
         )

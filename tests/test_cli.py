@@ -195,6 +195,36 @@ def test_brake_orbit_failure_exit_3(tmp_path, capsys):
     assert env["error"]["type"] == "NoConvergence"
 
 
+_QUARTIC_ORBIT = {
+    "system": {"n": 1, "terms": [{"coeff": 0.5, "powers": [2, 0]},
+                                 {"coeff": 0.5, "powers": [0, 2]},
+                                 {"coeff": 0.15, "powers": [0, 4]}]},
+    "energy": 0.5,
+    "q_guess": [0.95],
+    "period_guess": 5.6,
+    "steps": 256,
+}
+
+
+@pytest.mark.parametrize("var, key, value, error", [
+    (None, None, None, None),
+    ("BIT_SHOOTING_MAX_ITER", "shooting.max_iter", 1, "NoConvergence"),
+    ("BIT_ODE_STEPS", "ode.steps", 32, "EnergyDrift"),
+], ids=["defaults", "shooting.max_iter", "ode.steps"])
+def test_orbit_keys_reach_brake_orbit(tmp_path, capsys, monkeypatch, var, key, value, error):
+    # one Newton step does not converge from this guess, and 32 RK4 steps
+    # over the whole orbit drift off the energy level
+    if var is not None:
+        monkeypatch.setenv(var, str(value))
+    code, env, _ = run(capsys, "brake-orbit", write_doc(tmp_path, _QUARTIC_ORBIT))
+    if error is None:
+        assert code == 0, env.get("error")
+        return
+    assert env["config"][key] == value
+    assert code == 3
+    assert env["error"]["type"] == error
+
+
 def test_classify_command(tmp_path, capsys):
     doc = {"path": {"kind": "hyperbolic", "lam": -2.0, "samples": 513},
            "n": 1, "max_m": 4}

@@ -1,6 +1,7 @@
 """Structure constants, paths, loops, and the exact half-integer type."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_fundamental_solution_matches_expm():
         s = rng.standard_normal((2 * n, 2 * n)) * 2.0
         s = (s + s.T) / 2
         j = standard_symplectic(n)
-        path = fundamental_solution(lambda t: s, (0.0, 1.0), steps=2048, n=n)
+        path = fundamental_solution(lambda t: s, (0.0, 1.0), steps=2048)
         exact = scipy.linalg.expm(j @ s)
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(path.end_value() - exact)) / scale < 1e-9
@@ -135,6 +136,16 @@ def test_fundamental_solution_time_dependent():
     a = theta(1.0) - theta(0.0)
     want = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     assert np.max(np.abs(path.end_value() - want)) < 1e-9
+
+
+def test_symplecticity_loss_stops_at_the_failing_step():
+    # a 15.6 rad step wrecks the first sample; integrating on from it
+    # would overflow, so the error must come from that first step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SymplecticityLost) as err:
+            fundamental_solution(lambda t: 1e3 * np.eye(2), steps=64)
+    assert str(err.value) == "residual 5.31e+19 at t=0.015625 exceeds 1.0e-09"
 
 
 def test_rotation_path_values():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from brakeindex.core import HalfInt, check_brake_symmetry
+from brakeindex.core import HalfInt, check_brake_symmetry, fundamental_solution
 from brakeindex.errors import (
     DegenerateOrbit,
     EnergyDrift,
@@ -175,6 +175,21 @@ def test_linearized_path_grades_harmonic_orbit():
     t = orbit.period / 4
     want = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     assert np.max(np.abs(path.value_at(t) - want)) < 1e-6
+
+
+@pytest.mark.parametrize("steps", [512, 2048])
+@pytest.mark.parametrize("system, q_guess, period_guess", [
+    (harmonic_system(1), [1.0], 6.2),
+    (anisotropic_system([1.0, 2.3]), [0.0, 0.8], 4.0),
+], ids=["harmonic", "anisotropic"])
+def test_linearized_path_equals_fundamental_solution_for_constant_hessian(
+        system, q_guess, period_guess, steps):
+    # with H'' constant the frame rows of the joint (state, frame) flow
+    # take exactly the steps of the fundamental solution of H''
+    orbit = find_brake_orbit(system, 0.5, np.array(q_guess), period_guess, steps=512)
+    hess = system.hessian(orbit.start)
+    want = fundamental_solution(lambda t: hess, (0.0, orbit.period), steps=steps)
+    assert np.array_equal(linearized_path(orbit, steps=steps).values, want.values)
 
 
 def test_shooting_requires_symmetric_field():
