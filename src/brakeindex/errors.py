@@ -31,7 +31,12 @@ class IrregularCrossing(NumericalError):
 
 
 class Undersampled(NumericalError):
-    """Crossing localization could not separate nearby crossings."""
+    """A path turns too far between samples for its winding to be counted.
+
+    The pair index refines its scan until arg det of the Souriau map
+    steps by at most pi/2 per cell; a cell that reaches the width floor
+    first raises this, naming the step left and the cell.
+    """
 
 
 class SymmetryViolated(NumericalError):
@@ -43,7 +48,13 @@ class TruncationUnstable(NumericalError):
 
 
 class CrossingUnresolved(NumericalError):
-    """Eigenvalue crossing could not be isolated by grid refinement."""
+    """Crossings could not be resolved into a checked count.
+
+    In the pair index: the located crossings, all regular, do not sum to
+    the eigenphase winding (the message names both), or the winding is
+    not a half-integer.  In the spectral flow: an eigenvalue crossing of
+    too high a multiplicity could not be isolated by grid refinement.
+    """
 
 
 class EndpointDegenerate(NumericalError):

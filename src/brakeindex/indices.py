@@ -7,6 +7,10 @@ Gamma(second) - Gamma(first), where Gamma(Lambda)(v) = d/dt omega(v, w(t))
 for any lift w(t) in Lambda(t) through v; we use the lift w = P(t) v with
 P the orthogonal frame projector, whose derivative is gauge-invariant.
 
+The index of a pair is the eigenphase winding of its Souriau map; the
+located crossings are its witness, and a list of crossings that does not
+sum to the winding raises instead of being reported.
+
 The Conley-Zehnder index is computed from the pair (diagonal, graph) in
 the doubled space with endpoint intersections counted in full, which
 reproduces the usual normalization (a small positive rotation has index
@@ -37,6 +41,7 @@ from .core import (
     standard_symplectic,
 )
 from .errors import (
+    CrossingUnresolved,
     IrregularCrossing,
     SymmetryViolated,
     Undersampled,
@@ -48,6 +53,8 @@ _TIME_TOL = 1e-10
 # a crossing form is regular when every eigenvalue clears this, relative
 # to the largest one
 _FORM_TOL = 1e-5
+# a scan cell narrower than this fraction of the interval is not split
+_CELL_FLOOR = 1e-7
 # largest brake residual phi(-t) N0 - N0 phi(t) of a loop in the shift law
 _SYMMETRY_TOL = 1e-8
 
@@ -254,10 +261,16 @@ def _refine_dip(sigma_of, tl, tr, span):
     return t_hat, s_hat
 
 
-def _winding_doubled(f1, f2, j, nullities):
-    """Twice the pair index, counted by eigenphases; None when undecided.
+def _turn(f):
+    """Summed principal angles between consecutive frames of the stack f."""
+    cos = np.linalg.svd(np.swapaxes(f[:-1], -1, -2) @ f[1:], compute_uv=False)
+    return np.sum(np.arccos(np.minimum(cos, 1.0)), axis=-1)
 
-    With E the first frame of ``f1`` and j E its rotation, [E, jE]
+
+def _winding_doubled(lam1, lam2, nullities):
+    """Twice the pair index, counted by eigenphases, and the grid counted on.
+
+    With E the first frame of ``lam1`` and j E its rotation, [E, jE]
     identifies R^{2N} with C^N so that j acts as i, and a frame F becomes
     the unitary Z = E^T F + i (jE)^T F.  The eigenvalues of the Souriau
     map A = V V^T, V = Z1^* Z2, equal 1 exactly on the intersection of
@@ -265,13 +278,22 @@ def _winding_doubled(f1, f2, j, nullities):
     of A passing through 0: the unwrapped arg det A less the endpoint
     phases taken in [0, 2 pi), where the phases of the endpoint
     intersections (``nullities``) count as pi, which gives them half
-    weight.  Interior crossings are counted without being located
-    (Robbin-Salamon 1993; Arnold 1967 for the map).  Undecided when a
-    step of arg det A between samples exceeds pi/2 or the count is not
-    a half-integer.
+    weight (Robbin-Salamon 1993; Arnold 1967 for the map).
+
+    The union grid of both paths gets the midpoint of each cell over
+    which arg det A steps by more than pi/2, or may turn by pi unseen:
+    the sampled step is known modulo 2 pi, the true one is at most twice
+    the principal angles between the end frames, summed over both paths.
+    A cell narrower than ``_CELL_FLOOR`` of the interval that still needs
+    a midpoint raises Undersampled.  A count that is not a half-integer
+    raises CrossingUnresolved (the endpoint rank decisions disagree with
+    the endpoint eigenphases).  Returns the count, the grid and the
+    smallest singular value of the stacked frames at each node.
     """
+    grid = np.union1d(lam1.times, lam2.times)
+    f1, f2 = lam1.frames(grid), lam2.frames(grid)
     e = f1[0]
-    je = j @ e
+    je = lam1.j @ e
 
     def unitary(f):
         z = np.empty(f.shape[:-2] + (e.shape[1],) * 2, dtype=complex)
@@ -279,11 +301,28 @@ def _winding_doubled(f1, f2, j, nullities):
         z.imag = je.T @ f
         return z
 
-    phase = 2.0 * np.angle(np.conj(np.linalg.det(unitary(f1)))
-                           * np.linalg.det(unitary(f2)))
-    steps = np.angle(np.exp(1j * np.diff(phase)))
-    if np.max(np.abs(steps)) > math.pi / 2:
-        return None
+    def arg_det(g1, g2):
+        return 2.0 * np.angle(np.conj(np.linalg.det(unitary(g1)))
+                              * np.linalg.det(unitary(g2)))
+
+    phase = arg_det(f1, f2)
+    while True:
+        steps = np.angle(np.exp(1j * np.diff(phase)))
+        bound = 2 * (_turn(f1) + _turn(f2))
+        wide = np.flatnonzero((np.abs(steps) > math.pi / 2) | (bound >= math.pi))
+        if wide.size == 0:
+            break
+        if np.min(np.diff(grid)[wide]) < _CELL_FLOOR * (grid[-1] - grid[0]):
+            k = wide[np.argmax(np.abs(steps[wide]))]
+            raise Undersampled(
+                f"arg det of the Souriau map still steps by {abs(steps[k]):.3g} rad "
+                f"on [{grid[k]:.9g}, {grid[k + 1]:.9g}]; refine the sampling")
+        mids = 0.5 * (grid[wide] + grid[wide + 1])
+        g1, g2 = lam1.frames(mids), lam2.frames(mids)
+        grid = np.insert(grid, wide + 1, mids)
+        f1 = np.insert(f1, wide + 1, g1, axis=0)
+        f2 = np.insert(f2, wide + 1, g2, axis=0)
+        phase = np.insert(phase, wide + 1, arg_det(g1, g2))
 
     def endpoint_phases(k, dim):
         v = unitary(f1[k]).conj().T @ unitary(f2[k])
@@ -294,13 +333,16 @@ def _winding_doubled(f1, f2, j, nullities):
 
     count = (float(np.sum(steps)) - endpoint_phases(-1, nullities[1])
              + endpoint_phases(0, nullities[0])) / math.pi
-    doubled = round(count)
-    if abs(count - doubled) > 0.1:
-        return None
-    return int(doubled)
+    if abs(count - round(count)) > 0.1:
+        raise CrossingUnresolved(
+            f"eigenphase winding {count:.3f} (doubled) is not a half-integer "
+            f"with endpoint nullities {tuple(nullities)}")
+    sig_min = np.linalg.svd(np.concatenate([f1, f2], axis=2),
+                            compute_uv=False)[:, -1]
+    return int(round(count)), grid, sig_min
 
 
-def _missing_crossings(lam1, lam2, grid, sig_min, known, deficit, eval_form,
+def _missing_crossings(lam1, lam2, grid, sig_min, known, deficit, crossing,
                        rank_tol):
     """Crossings hidden next to the ``known`` ones, up to ``deficit``.
 
@@ -309,8 +351,8 @@ def _missing_crossings(lam1, lam2, grid, sig_min, known, deficit, eval_form,
     each side of a known crossing, out to where the scanned ``sig_min`` stops
     rising, on points spaced geometrically away from it so that a
     neighbour shows as its own dip at any distance.  A crossing counts
-    only when its form is regular and its sign is the missing one
-    (``deficit`` is doubled, like the index).
+    only when ``crossing(t, dim, basis)`` grades it regular and of the
+    missing sign (``deficit`` is doubled, like the index).
     """
     a, b = float(grid[0]), float(grid[-1])
     span = b - a
@@ -344,25 +386,26 @@ def _missing_crossings(lam1, lam2, grid, sig_min, known, deficit, eval_form,
                 dim, basis = _intersection_data(lam1, lam2, t_new, max(rank_tol, 1e-7))
                 if dim == 0:
                     continue
-                signature, regular = _form_counts(eval_form(t_new, basis, "center"))
-                if regular and signature * deficit > 0 and 2 * abs(signature) <= abs(deficit):
-                    found.append(Crossing(t_new, dim, signature, regular))
-                    deficit -= 2 * signature
+                c = crossing(t_new, dim, basis)
+                if c.regular and c.signature * deficit > 0 and 2 * abs(c.signature) <= abs(deficit):
+                    found.append(c)
+                    deficit -= 2 * c.signature
     return found
 
 
 def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
     """Robbin-Salamon index of the pair (lam1, lam2) over their interval.
 
-    Interior crossings count their full signature, endpoint crossings
-    half.  Crossings are located by shrinking the bracket around each dip
-    of the smallest singular value of the stacked frames.  Their count is
-    checked against the eigenphase count of ``_winding_doubled``; when it
-    shows that a dip hid more crossings than it showed, the missing ones
-    are looked for next to the located ones.  ``strict``
-    raises IrregularCrossing on a singular crossing form; otherwise the
-    crossing is flagged and its signature still accumulated.  Intersection
-    dimensions are rank decisions under ``config.tol_rank``.
+    The value is the eigenphase count of ``_winding_doubled``.  The
+    crossing list is its witness, found on the same grid at the dips of
+    the smallest singular value of the stacked frames: interior crossings
+    count their full signature, endpoint ones half, and when their sum
+    falls short of the winding the missing ones are looked for next to
+    the located ones.  A list of regular crossings that still disagrees
+    with the winding raises CrossingUnresolved.  ``strict`` raises
+    IrregularCrossing on a singular crossing form; otherwise it is
+    flagged, and the list, which no longer decides, is not checked.
+    Intersection dimensions are rank decisions under ``config.tol_rank``.
     """
     if isinstance(lam1, Lagrangian):
         lam1 = LagrangianPath.constant(lam1, (lam2.a, lam2.b))
@@ -375,95 +418,52 @@ def maslov_index(lam1, lam2, *, strict=True, config: Config = DEFAULT):
     rank_tol = config.tol_rank
     a, b = lam2.a, lam2.b
     span = b - a
-    grid = np.union1d(lam1.times, lam2.times)
-    f1, f2 = lam1.frames(grid), lam2.frames(grid)
-    sig_min = np.linalg.svd(np.concatenate([f1, f2], axis=2),
-                            compute_uv=False)[:, -1]
-
     h = 1e-6 * span
-    crossings = []
 
-    def eval_form(t, basis, side):
-        return _crossing_form(lam1, lam2, t, basis, h, side=side)
+    def crossing(t, dim, basis, side="center"):
+        return Crossing(t, dim, *_form_counts(
+            _crossing_form(lam1, lam2, t, basis, h, side=side)))
 
-    # endpoints first
-    endpoint_nullities = []
+    # endpoints first, then the interior dips of the rank indicator
+    crossings, endpoint_nullities = [], []
     for t_end, side in ((a, "right"), (b, "left")):
         dim, basis = _intersection_data(lam1, lam2, t_end, rank_tol)
         endpoint_nullities.append(dim)
         if dim > 0:
-            q = eval_form(t_end, basis, side)
-            sig, regular = _form_counts(q)
-            if not regular and strict:
-                raise IrregularCrossing(
-                    f"singular crossing form at endpoint t={t_end:.6g}"
-                )
-            crossings.append(Crossing(t_end, dim, sig, regular))
-    winding = _winding_doubled(f1, f2, lam1.j, endpoint_nullities)
-    del f1, f2
-
-    # interior dips of the rank indicator
-    suspicion = 0.15
-    interior = []
-    for i in range(1, len(grid) - 1):
-        if sig_min[i] >= suspicion:
-            continue
-        if sig_min[i] <= sig_min[i - 1] and sig_min[i] <= sig_min[i + 1]:
-            interior.append(i)
-
+            crossings.append(crossing(t_end, dim, basis, side))
+    winding, grid, sig_min = _winding_doubled(lam1, lam2, endpoint_nullities)
+    inner = sig_min[1:-1]
+    dips = np.flatnonzero((inner < 0.15) & (inner <= sig_min[:-2])
+                          & (inner <= sig_min[2:])) + 1
     sigma_of = functools.partial(_sigma_min, lam1, lam2)
     located = []
-    for i in interior:
-        tl, tr = float(grid[i - 1]), float(grid[i + 1])
-        t_hat, s_hat = _refine_dip(sigma_of, tl, tr, span)
-        if s_hat > rank_tol:
-            continue  # shallow dip, no actual intersection
-        if t_hat - a < 10 * _TIME_TOL * span or b - t_hat < 10 * _TIME_TOL * span:
-            continue  # endpoint crossing, already counted
-        if any(abs(t_hat - t0) < 1e-7 * span for t0, _, _ in located):
-            continue
-        located.append((t_hat, tl, tr))
-
-    for t_hat, tl, tr in sorted(located):
-        dim, basis = _intersection_data(lam1, lam2, t_hat, max(rank_tol, 1e-7))
-        if dim == 0:
-            continue
-        q = eval_form(t_hat, basis, "center")
-        sig, regular = _form_counts(q)
-        if not regular:
-            # a degenerate form also flattens the dip, so skip the
-            # collision probe; it cannot tell tangency from collision
-            if strict:
-                raise IrregularCrossing(
-                    f"singular crossing form at t={t_hat:.6g}"
-                )
-            crossings.append(Crossing(t_hat, dim, sig, regular))
-            continue
-        # a regular crossing has an isolated dip; a second zero hiding in
-        # the same bracket means the sampling cannot separate them
-        width = tr - tl
-        probes = np.clip(np.concatenate([
-            np.linspace(tl, t_hat - width / 50, 8),
-            np.linspace(t_hat + width / 50, tr, 8),
-        ]), a, b)
-        side_min = min(sigma_of(t) for t in probes)
-        if side_min < 1e-6:
-            raise Undersampled(
-                f"two crossings collide near t={t_hat:.6g}; refine the sampling"
-            )
-        crossings.append(Crossing(t_hat, dim, sig, regular))
+    for i in dips:
+        t_hat, s_hat = _refine_dip(sigma_of, float(grid[i - 1]), float(grid[i + 1]), span)
+        # a shallow dip is no intersection; endpoint crossings are counted
+        if (s_hat <= rank_tol and min(t_hat - a, b - t_hat) >= 10 * _TIME_TOL * span
+                and all(abs(t_hat - t0) >= 1e-7 * span for t0 in located)):
+            located.append(t_hat)
+            dim, basis = _intersection_data(lam1, lam2, t_hat, max(rank_tol, 1e-7))
+            if dim > 0:
+                crossings.append(crossing(t_hat, dim, basis))
+    irregular = [c for c in crossings if not c.regular]
+    if strict and irregular:
+        where = "endpoint " if irregular[0].time in (a, b) else ""
+        raise IrregularCrossing(f"singular crossing form at {where}t={irregular[0].time:.6g}")
 
     def doubled_sum():
         return sum((1 if min(abs(c.time - a), abs(c.time - b)) < 1e-9 * span else 2)
                    * c.signature for c in crossings)
 
-    doubled = doubled_sum()
-    if winding is not None and winding != doubled and all(c.regular for c in crossings):
+    if not irregular and doubled_sum() != winding:
         crossings += _missing_crossings(lam1, lam2, grid, sig_min, crossings,
-                                        winding - doubled, eval_form, rank_tol)
-        doubled = doubled_sum()
+                                        winding - doubled_sum(), crossing, rank_tol)
+        if doubled_sum() != winding:
+            raise CrossingUnresolved(
+                f"the crossings found sum to {doubled_sum()} (doubled) where "
+                f"the eigenphase winding counts {winding}")
     crossings.sort(key=lambda c: c.time)
-    return IndexReport(HalfInt(doubled), tuple(crossings),
+    return IndexReport(HalfInt(winding), tuple(crossings),
                        tuple(endpoint_nullities))
 
 

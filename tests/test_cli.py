@@ -307,19 +307,60 @@ def test_bad_env_value_exit_2(tmp_path, capsys, monkeypatch):
 def test_rank_tolerance_reaches_every_index(tmp_path, capsys, monkeypatch):
     # omega = 6.33 sits 0.047 past a full turn: under tol.rank = 0.1 the
     # end of the path counts as an intersection in every index, not only
-    # in the nullities
+    # in the nullities.  The crossing just before the end is then counted
+    # again, so each index must report its winding (cz 3, mu 1) or raise,
+    # never the list's doubled 10 and 4
     monkeypatch.setenv("BIT_TOL_RANK", "0.1")
-    doc = {"path": {"kind": "rotation", "omega": 6.33}, "index": "all"}
-    code, env, _ = run(capsys, "index", write_doc(tmp_path, doc))
+    path = {"kind": "rotation", "omega": 6.33}
+    code, env, _ = run(capsys, "index",
+                       write_doc(tmp_path, {"path": path, "index": "nullities"}))
     assert code == 0
     assert env["config"]["tol.rank"] == 0.1
-    rep = env["report"]
-    assert rep["nullities"] == {"nu": 2, "nu1": 1, "nu2": 1}
-    assert rep["cz"]["value"] == {"doubled": 10}
-    assert rep["cz"]["endpoint_nullities"] == [2, 2]
-    for key in ("mu1", "mu2"):
-        assert rep[key]["value"] == {"doubled": 4}
-        assert rep[key]["endpoint_nullities"] == [1, 1]
+    assert env["report"]["nullities"] == {"nu": 2, "nu1": 1, "nu2": 1}
+    for key, winding, ends in (("cz", 6, [2, 2]), ("mu1", 2, [1, 1]), ("mu2", 2, [1, 1])):
+        code, env, _ = run(capsys, "index",
+                           write_doc(tmp_path, {"path": path, "index": key}))
+        assert env["config"]["tol.rank"] == 0.1
+        if code != 0:
+            assert code == 3
+            assert env["error"]["type"] == "CrossingUnresolved"
+            continue
+        assert env["report"][key]["value"] == {"doubled": winding}
+        assert env["report"][key]["endpoint_nullities"] == ends
+
+
+def test_fourier_order_reaches_spectral_flow(tmp_path, capsys, monkeypatch):
+    # I -> 14 I crosses 2 pi and 4 pi; modes up to K = 1 see only the first
+    doc = {"minus": {"const": [[1.0, 0.0], [0.0, 1.0]]},
+           "plus": {"const": [[14.0, 0.0], [0.0, 14.0]]}, "domain": "full"}
+    code, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, doc))
+    assert code == 0
+    assert env["report"]["flow"] == 4
+    monkeypatch.setenv("BIT_FOURIER_K", "1")
+    code, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, doc))
+    assert code == 0
+    assert env["config"]["fourier.K"] == 1
+    assert env["report"]["flow"] == 2
+    # a K in the document wins over the config
+    code, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, dict(doc, K=8)))
+    assert code == 0
+    assert env["report"]["flow"] == 4
+
+
+def test_zero_eigenvalue_tolerance_reaches_spectral_flow(tmp_path, capsys, monkeypatch):
+    # the plus endpoint (2 pi + 1e-4) I has an eigenvalue -1e-4: nonzero
+    # under the default tol.zero_eig = 1e-6, a kernel under 1e-3
+    w = 2 * math.pi + 1e-4
+    doc = {"minus": {"const": [[1.0, 0.0], [0.0, 1.0]]},
+           "plus": {"const": [[w, 0.0], [0.0, w]]}, "domain": "full", "K": 8}
+    code, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, doc))
+    assert code == 0, env.get("error")
+    assert env["report"]["flow"] == 2
+    monkeypatch.setenv("BIT_TOL_ZERO_EIG", "1e-3")
+    code, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, doc))
+    assert env["config"]["tol.zero_eig"] == 1e-3
+    assert code == 3
+    assert env["error"]["type"] == "EndpointDegenerate"
 
 
 def _noisy_rotation_doc(omega=5.0, samples=257, noise=1e-7):

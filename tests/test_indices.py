@@ -18,7 +18,9 @@ from brakeindex.core import (
     rotation_path,
     standard_symplectic,
 )
+from brakeindex.config import Config
 from brakeindex.errors import (
+    CrossingUnresolved,
     IrregularCrossing,
     Undersampled,
     ValidationError,
@@ -164,12 +166,47 @@ def test_tangential_crossing_raises_in_strict_mode():
     assert inner[0].time == pytest.approx(0.5, abs=1e-4)
 
 
-def test_colliding_crossings_raise_undersampled():
-    # two transversal crossings 2e-4 apart inside one sample cell
+def test_irregular_list_leaves_the_winding_as_the_value():
+    # the line touches L1 at t = 0.5 and turns back: no net crossing,
+    # while the flagged form still carries a signature
+    moving = _angle_path(lambda t: (t - 0.5) ** 2)
+    const = LagrangianPath.constant(lagrangian_l1(1), (0.0, 1.0))
+    rep = maslov_index(const, moving, strict=False)
+    assert rep.value == HalfInt(0)
+    inner = [c for c in rep.crossings if 0.0 < c.time < 1.0]
+    assert len(inner) == 1 and not inner[0].regular and inner[0].signature != 0
+
+
+def test_colliding_crossings_are_both_listed():
+    # two transversal crossings 2e-4 apart inside one sample cell: the
+    # scan shows one, and the winding (0) makes the search find the other
     moving = _angle_path(lambda t: (t - 0.5) ** 2 - 1e-8, samples=257)
     const = LagrangianPath.constant(lagrangian_l1(1), (0.0, 1.0))
-    with pytest.raises(Undersampled):
+    rep = maslov_index(const, moving)
+    assert rep.value == HalfInt(0)
+    assert [c.time for c in rep.crossings] == pytest.approx([0.4999, 0.5001], abs=1e-6)
+    assert [c.signature for c in rep.crossings] == [1, -1]
+    assert all(c.regular and c.dim == 1 for c in rep.crossings)
+
+
+def test_jump_between_samples_raises_undersampled():
+    # a frame that jumps has no winding to count: the scan refines the
+    # jumping cell down to its floor and names the step left there
+    moving = _angle_path(lambda t: 0.3 if t < 0.40031 else 2.0)
+    const = LagrangianPath.constant(lagrangian_l1(1), (0.0, 1.0))
+    with pytest.raises(Undersampled, match=r"steps by 2\.88 rad on \[0\.40030998, 0\.40031004\]"):
         maslov_index(const, moving)
+
+
+def test_list_that_overcounts_the_winding_raises():
+    # under tol.rank = 0.1 the crossing at 2 pi / 6.33 = 0.9926 and the
+    # end t = 1 are both intersections, so the list counts one twice
+    cfg = Config(tol_rank=0.1)
+    path = rotation_path(6.33, config=cfg)
+    with pytest.raises(CrossingUnresolved, match="sum to 8 .* winding counts 4"):
+        conley_zehnder_report(path, config=cfg)
+    with pytest.raises(CrossingUnresolved, match="sum to 4 .* winding counts 2"):
+        brake_maslov_report(path, config=cfg)
 
 
 def test_pair_index_validates_intervals_and_forms():
@@ -340,3 +377,43 @@ def test_split_crossings_of_a_perturbed_loop_are_counted(steps, w, terms):
     assert rep.value == HalfInt.from_int(want)
     # a plane with floor f crosses 2 f times, once per split half
     assert sum(c.dim for c in rep.crossings if c.time > 0) == want - 2
+
+
+def _sampled_rotation(omega, samples):
+    """R(omega t) given only by its samples on [0, 1], as a CLI document is."""
+    times = np.linspace(0.0, 1.0, samples)
+    values = np.stack([[[math.cos(omega * t), -math.sin(omega * t)],
+                        [math.sin(omega * t), math.cos(omega * t)]] for t in times])
+    return SymplecticPath(times, values, based=True)
+
+
+@pytest.mark.parametrize("omega, samples", [(40.0, 17), (20.0, 9)])
+def test_coarse_samples_are_refined_before_counting(omega, samples):
+    # 2.5 rad per sample cell: the interpolated path is still R(omega t),
+    # but the scan sees only every other crossing until it is refined.
+    # For cz, arg det of the Souriau map turns by 5 rad per cell, which
+    # its samples show as -1.28: only the principal angles reveal it
+    path = _sampled_rotation(omega, samples)
+    k = math.floor(omega / (2 * math.pi))
+    assert brake_maslov(path) == HalfInt(2 * k + 1)
+    assert conley_zehnder(path) == HalfInt.from_int(2 * k + 1)
+
+
+# The endpoint loop of a spectral-flow benchmark job (n = 1, turns 2.774),
+# rounded to five decimals: each crossing of diag(w, w) splits into two
+# of the same sign about 4e-4 apart, inside one sample cell.
+_COLLIDING_LOOP = {
+    "const": [[17.43085, 0.0], [0.0, 17.43085]],
+    "cos": {1: [[0.041, 0.0], [0.0, 0.08124]], 2: [[0.15128, 0.0], [0.0, 0.13352]]},
+    "sin": {1: [[0.0, -0.15975], [-0.15975, 0.0]], 2: [[0.0, -0.08043], [-0.08043, 0.0]]},
+}
+
+
+def test_same_sign_pair_in_one_cell_is_counted():
+    parts = {k: {order: np.array(m) for order, m in _COLLIDING_LOOP[k].items()}
+             for k in ("cos", "sin")}
+    loop = SymmetricLoop.fourier(np.array(_COLLIDING_LOOP["const"]), **parts)
+    rep = conley_zehnder_report(fundamental_solution(loop, (0.0, 1.0), steps=2048))
+    assert rep.value == HalfInt.from_int(5)
+    interior = [c for c in rep.crossings if c.time > 0]
+    assert [(c.dim, c.signature) for c in interior] == [(1, 1)] * 4

@@ -1,17 +1,26 @@
 """Algebraic laws of the index theory, checked on drawn inputs.
 
-Only rotation paths are drawn: their crossings are known in closed form,
-so every drawn input can be kept a margin away from degenerate angles.
+Rotation paths and perturbed diagonal loops are drawn: the indices of
+both are known in closed form, so every drawn input can be kept a margin
+away from degenerate angles, or put exactly on one.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brakeindex.core import HalfInt, diagonal_unitary_loop, lagrangian_l1, rotation_path
+from brakeindex.asymptotic import SymmetricLoop
+from brakeindex.core import (
+    HalfInt,
+    diagonal_unitary_loop,
+    fundamental_solution,
+    lagrangian_l1,
+    rotation_path,
+)
 from brakeindex.indices import (
     LagrangianPath,
     brake_maslov,
@@ -19,6 +28,7 @@ from brakeindex.indices import (
     cz_of_product,
     maslov_index,
     mu1_of_product,
+    nullities,
 )
 
 doubled = st.integers(min_value=-10**6, max_value=10**6)
@@ -81,3 +91,70 @@ def test_loop_shift_laws(omega, k):
     loop = diagonal_unitary_loop((k,))
     assert cz_of_product(loop, path) == conley_zehnder(path) + HalfInt.from_int(2 * k)
     assert mu1_of_product(loop, path) == brake_maslov(path) + HalfInt.from_int(k)
+
+
+# entries on a 1e-3 grid in [-1, 1]: no subnormal draw can overflow the scale
+unit = st.integers(min_value=-1000, max_value=1000).map(lambda k: k / 1000)
+
+
+def _even_sym(draw, n):
+    """Symmetric, commuting with N0 = diag(-I, I): two symmetric blocks."""
+    out = np.zeros((2 * n, 2 * n))
+    for block in (slice(0, n), slice(n, 2 * n)):
+        m = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+        out[block, block] = 0.5 * (m + m.T)
+    return out
+
+
+def _odd_sym(draw, n):
+    """Symmetric, anticommuting with N0."""
+    c = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, n:] = c
+    out[n:, :n] = c.T
+    return out
+
+
+@st.composite
+def perturbed_loops(draw):
+    """(loop, turns, degenerate plane or None) for diag(w, w) + P(t).
+
+    w_i = 2 pi turns_i with turns in [-2, 3), at least 0.05 from an
+    integer.  P has cos terms of orders 1 and 2 commuting with N0 and sin
+    terms anticommuting with it, so the loop is brake-symmetric; the sum
+    of their norms, a bound on sup |P|, is 30 to 60 percent of the
+    smallest distance of a w_i from 2 pi Z, so by Weyl's inequality the
+    indices are those of diag(w, w).  Sometimes plane 0 sits exactly on
+    2 pi k instead, and P is zero.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    turns = [draw(st.integers(min_value=-2, max_value=2))
+             + draw(st.floats(min_value=0.05, max_value=0.95)) for _ in range(n)]
+    degenerate = draw(st.sampled_from([None, None, None, 0]))
+    if degenerate is not None:
+        turns[0] = float(draw(st.sampled_from([-1, 1, 2])))
+    w = [2 * math.pi * t for t in turns]
+    terms = {"cos": {1: _even_sym(draw, n), 2: _even_sym(draw, n)},
+             "sin": {1: _odd_sym(draw, n), 2: _odd_sym(draw, n)}}
+    total = sum(np.linalg.norm(m, 2) for part in terms.values() for m in part.values())
+    gap = 2 * math.pi * min(abs(t - round(t)) for t in turns)
+    scale = draw(st.floats(min_value=0.3, max_value=0.6)) * gap / total if total else 0.0
+    parts = {k: {order: scale * m for order, m in v.items()} for k, v in terms.items()}
+    return SymmetricLoop.fourier(np.diag(w + w), **parts), turns, degenerate
+
+
+@settings(deadline=None, max_examples=30)
+@given(perturbed_loops())
+def test_perturbed_loops_keep_the_closed_form_indices(drawn):
+    # a plane with turns t off the integers has cz 2 floor(t) + 1 and mu1
+    # floor(t) + 1/2; on 2 pi k it has cz 2k + 1 (upper value), mu1 = k
+    # and nullities (2, 1, 1)
+    loop, turns, degenerate = drawn
+    path = fundamental_solution(loop, (0.0, 1.0), steps=2048)
+    floors = [round(t) if i == degenerate else math.floor(t) for i, t in enumerate(turns)]
+    assert conley_zehnder(path) == HalfInt.from_int(sum(2 * k + 1 for k in floors))
+    assert brake_maslov(path) == HalfInt(sum(2 * k + (i != degenerate)
+                                             for i, k in enumerate(floors)))
+    nu, nu1, nu2 = nullities(path)
+    assert nu1 + nu2 == nu
+    assert (nu, nu1, nu2) == ((0, 0, 0) if degenerate is None else (2, 1, 1))
