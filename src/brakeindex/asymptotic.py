@@ -63,14 +63,30 @@ class SymmetricLoop:
             raise ValidationError(f"loop values must be {2 * self.n} square")
         if np.max(np.abs(probe - probe.T)) > 1e-10:
             raise ValidationError("loop values must be symmetric matrices")
+        # batch(ts) for times reduced mod tau, when the loop has one
+        self._batch = None
 
     def __call__(self, t):
         return np.asarray(self.fn(float(t) % self.tau), dtype=float)
 
+    def values(self, ts):
+        """The loop at every time of the 1-d array ``ts``, stacked to
+        (len(ts), 2n, 2n); element for element what ``__call__`` returns."""
+        if self._batch is None:
+            return np.stack([self(t) for t in ts])
+        return self._batch(np.asarray(ts, dtype=float) % self.tau)
+
+    @classmethod
+    def _batched(cls, fn, batch, n, tau):
+        loop = cls(fn, n, tau)
+        loop._batch = batch
+        return loop
+
     @classmethod
     def constant(cls, m, tau=1.0):
         m = np.asarray(m, dtype=float)
-        return cls(lambda t: m, m.shape[0] // 2, tau)
+        return cls._batched(lambda t: m, lambda ts: np.repeat(m[None], len(ts), axis=0),
+                            m.shape[0] // 2, tau)
 
     @classmethod
     def fourier(cls, const, cos=None, sin=None, tau=1.0):
@@ -87,7 +103,17 @@ class SymmetricLoop:
                 out = out + m * math.sin(2 * math.pi * k * t / tau)
             return out
 
-        return cls(fn, const.shape[0] // 2, tau)
+        def batch(ts):
+            # the same sum in the same order; the trig factors come from
+            # math per time, as fn takes them
+            out = np.repeat(const[None], len(ts), axis=0)
+            for trig, terms in ((math.cos, cos), (math.sin, sin)):
+                for k, m in terms.items():
+                    args = (2 * math.pi * k * ts / tau).tolist()
+                    out = out + m * np.array([trig(x) for x in args])[:, None, None]
+            return out
+
+        return cls._batched(fn, batch, const.shape[0] // 2, tau)
 
     def brake_residual(self):
         return check_brake_symmetry(self, kind="coefficient")
@@ -142,7 +168,7 @@ def _assemble(op: AsymptoticOperator, K):
     # multiplication part by periodic trapezoid quadrature
     m_pts = max(256, 8 * K + 16)
     grid = np.arange(m_pts) * (tau / m_pts)
-    svals = np.stack([op.loop(t) for t in grid])
+    svals = op.loop.values(grid)
     basis = _basis_matrix(K, tau, grid)
     weighted = basis * (tau / m_pts)
     # entry (p, i; q, j) is sum_m w phi_p(t_m) phi_q(t_m) S(t_m)_ij; one
@@ -259,7 +285,10 @@ def blend_family(loop_minus: SymmetricLoop, loop_plus: SymmetricLoop,
         def fn(t):
             return (1.0 - beta) * loop_minus(t) + beta * loop_plus(t)
 
-        return SymmetricLoop(fn, loop_minus.n, loop_minus.tau)
+        def batch(ts):
+            return (1.0 - beta) * loop_minus.values(ts) + beta * loop_plus.values(ts)
+
+        return SymmetricLoop._batched(fn, batch, loop_minus.n, loop_minus.tau)
 
     return OperatorFamily(loop_of_s, interval, domain=domain)
 

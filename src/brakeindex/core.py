@@ -19,7 +19,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Config
 from .errors import PhaseJumpTooLarge, SymplecticityLost, ValidationError
@@ -232,6 +231,8 @@ def _interpolate(times, values, t):
     Returns the sample at a node; inside a cell it follows the geodesic
     values[i] exp(frac log(values[i]^{-1} values[i + 1])).
     """
+    import scipy.linalg
+
     i = int(np.searchsorted(times, t, side="right") - 1)
     i = min(max(i, 0), len(times) - 2)
     t0, t1 = times[i], times[i + 1]
@@ -408,27 +409,45 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
     return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
-def _rk4(rhs, y0, t0, h, steps, correct=None):
+def _rk4(rhs, y0, t0, h, steps, correct=None, stages=None):
     """Classical RK4 for y' = rhs(t, y): ``steps`` steps of size h from t0.
 
     Returns the (steps + 1,) + y0.shape samples.  Each new sample y at
     time t goes through ``correct(t, y)``, which returns it (possibly
     projected) or raises, so a failure stops the loop at its step.
+    ``stages``, when given, holds four sequences indexed by step: stage s
+    of step i calls rhs(stages[s][i], y) in place of its stage time, so
+    a right-hand side evaluated ahead of the loop takes its coefficient
+    from there.
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((steps + 1,) + y.shape)
     out[0] = y
     for i in range(steps):
-        t = t0 + i * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
+        if stages is None:
+            t = t0 + i * h
+            a1, a2, a3, a4 = t, t + h / 2, t + h / 2, t + h
+        else:
+            a1, a2, a3, a4 = stages[0][i], stages[1][i], stages[2][i], stages[3][i]
+        k1 = rhs(a1, y)
+        k2 = rhs(a2, y + h / 2 * k1)
+        k3 = rhs(a3, y + h / 2 * k2)
+        k4 = rhs(a4, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if correct is not None:
             y = correct(t0 + (i + 1) * h, y)
         out[i + 1] = y
     return out
+
+
+def _stacked(fn, ts):
+    """``fn`` at every time of the 1-d array ``ts``, stacked to
+    (len(ts), 2n, 2n): one call of the loop's own ``values`` when it has
+    one, else one call of ``fn`` per time."""
+    batch = getattr(fn, "values", None)
+    if callable(batch):
+        return batch(ts)
+    return np.stack([np.asarray(fn(float(t)), dtype=float) for t in ts])
 
 
 def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
@@ -462,7 +481,13 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
 
     h = (b - a) / steps
     times = a + np.arange(steps + 1) * h
-    values = _rk4(rhs, np.eye(2 * n), a, h, steps, correct=checked)
+    # the coefficient at every stage time, formed as _rk4 forms it (t_i + h
+    # is not always bitwise t_{i + 1}); stages 2 and 3 share t_i + h / 2
+    t_i = a + np.arange(steps) * h
+    jb = j @ _stacked(b_of_t, np.concatenate([t_i, t_i + h / 2, t_i + h]))
+    mid = jb[steps : 2 * steps]
+    values = _rk4(lambda jb_t, g: jb_t @ g, np.eye(2 * n), a, h, steps,
+                  correct=checked, stages=(jb[:steps], mid, mid, jb[2 * steps :]))
 
     def at(t):
         t = float(t)
@@ -612,16 +637,11 @@ def check_brake_symmetry(obj, kind=None, samples=None):
         return res
     # coefficient loop: obj(t) symmetric matrices, periodic with obj.tau
     tau = getattr(obj, "tau", 1.0)
-    fn = obj
-    probe = np.asarray(fn(0.0), dtype=float)
-    n0 = brake_involution(probe.shape[0] // 2)
-    count = 129 if samples is None else samples
-    res = 0.0
-    for t in np.linspace(0.0, tau, count):
-        lhs = n0 @ np.asarray(fn((-t) % tau), dtype=float) @ n0
-        rhs = np.asarray(fn(t), dtype=float)
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+    ts = np.linspace(0.0, tau, 129 if samples is None else samples)
+    vals = _stacked(obj, ts)
+    n0 = brake_involution(vals.shape[1] // 2)
+    lhs = n0 @ _stacked(obj, (-ts) % tau) @ n0
+    return float(np.max(np.abs(lhs - vals)))
 
 
 def pointwise_product(left, right):

@@ -51,6 +51,10 @@ class HamiltonianSystem:
         self.gradient = gradient
         self.name = name or "custom"
         self._hessian = hessian
+        # gradients / hessians over stacked (m, 2n) points, when the
+        # builder has them; otherwise they stack the pointwise callables
+        self._gradients = None
+        self._hessians = None
         self._j0 = standard_symplectic(self.n)
         if validate:
             self._probe()
@@ -94,10 +98,32 @@ class HamiltonianSystem:
         """The Hamiltonian vector field J0 grad H."""
         return self._j0 @ np.asarray(self.gradient(z), dtype=float)
 
+    def fields(self, zs):
+        """``field`` at every row of the (m, 2n) array ``zs``, stacked."""
+        zs = np.asarray(zs, dtype=float)
+        if self._gradients is None:
+            grads = np.stack([np.asarray(self.gradient(z), dtype=float) for z in zs])
+        else:
+            grads = self._gradients(zs)
+        return (self._j0 @ grads[:, :, None])[:, :, 0]
+
+    def hessians(self, zs):
+        """``hessian`` at every row of the (m, 2n) array ``zs``, stacked."""
+        zs = np.asarray(zs, dtype=float)
+        if self._hessians is None:
+            return np.stack([self.hessian(z) for z in zs])
+        return self._hessians(zs)
+
+
+def _with_batches(system, gradients, hessians):
+    system._gradients = gradients
+    system._hessians = hessians
+    return system
+
 
 def harmonic_system(n=1):
     """H = |z|^2 / 2, all orbits circles of period 2 pi."""
-    return HamiltonianSystem(
+    system = HamiltonianSystem(
         n,
         value=lambda z: 0.5 * float(np.dot(z, z)),
         gradient=lambda z: np.asarray(z, dtype=float).copy(),
@@ -105,6 +131,8 @@ def harmonic_system(n=1):
         name="harmonic",
         validate=False,
     )
+    return _with_batches(system, np.copy,
+                         lambda zs: np.repeat(np.eye(2 * n)[None], len(zs), axis=0))
 
 
 def anisotropic_system(weights):
@@ -115,7 +143,7 @@ def anisotropic_system(weights):
     n = w.size
     quad = np.concatenate([np.ones(n), w])
 
-    return HamiltonianSystem(
+    system = HamiltonianSystem(
         n,
         value=lambda z: 0.5 * float(np.dot(quad * z, z)),
         gradient=lambda z: quad * np.asarray(z, dtype=float),
@@ -123,6 +151,8 @@ def anisotropic_system(weights):
         name="anisotropic",
         validate=False,
     )
+    return _with_batches(system, lambda zs: quad * zs,
+                         lambda zs: np.repeat(np.diag(quad)[None], len(zs), axis=0))
 
 
 def polynomial_system(n, terms, symmetric=True, name="polynomial"):
@@ -153,34 +183,57 @@ def polynomial_system(n, terms, symmetric=True, name="polynomial"):
         z = np.asarray(z, dtype=float)
         return float(sum(c * np.prod(z ** e) for c, e in parsed))
 
-    # derivative tables (index, coefficient, exponents), built once
-    grad_terms = []
-    hess_terms = []
+    # derivative tables, built once: term t of the gradient adds
+    # grad_coeff[t] * prod(z ** grad_pow[t]) to entry grad_idx[t], term t of
+    # the Hessian hess_coeff[t] * prod(z ** hess_pow[t]) to entry
+    # (hess_rows[t], hess_cols[t])
+    grad_idx, grad_coeff, grad_pow = [], [], []
+    hess_rows, hess_cols, hess_coeff, hess_pow = [], [], [], []
     for c, e in parsed:
         for i in np.nonzero(e)[0]:
             d = e.copy()
             d[i] -= 1
-            grad_terms.append((i, c * e[i], d))
+            grad_idx.append(i)
+            grad_coeff.append(c * e[i])
+            grad_pow.append(d)
             for j in np.nonzero(d)[0]:
                 dd = d.copy()
                 dd[j] -= 1
-                hess_terms.append((i, j, c * e[i] * d[j], dd))
+                hess_rows.append(i)
+                hess_cols.append(j)
+                hess_coeff.append(c * e[i] * d[j])
+                hess_pow.append(dd)
+    grad_idx = np.array(grad_idx, dtype=int)
+    grad_coeff = np.array(grad_coeff, dtype=float)
+    grad_pow = np.array(grad_pow, dtype=int).reshape(-1, 2 * n)
+    hess_rows = np.array(hess_rows, dtype=int)
+    hess_cols = np.array(hess_cols, dtype=int)
+    hess_coeff = np.array(hess_coeff, dtype=float)
+    hess_pow = np.array(hess_pow, dtype=int).reshape(-1, 2 * n)
 
-    def gradient(z):
-        z = np.asarray(z, dtype=float)
-        g = np.zeros(2 * n)
-        for i, c, d in grad_terms:
-            g[i] += c * np.prod(z ** d)
+    def monomials(zs, coeff, powers):
+        """coeff[t] * prod(z ** powers[t]) for every row z of zs: (m, T)."""
+        return coeff * np.prod(zs[:, None, :] ** powers, axis=2)
+
+    def gradients(zs):
+        g = np.zeros((len(zs), 2 * n))
+        # np.add.at adds the terms of one entry in term order
+        np.add.at(g, (slice(None), grad_idx), monomials(zs, grad_coeff, grad_pow))
         return g
 
-    def hessian(z):
-        z = np.asarray(z, dtype=float)
-        h = np.zeros((2 * n, 2 * n))
-        for i, j, c, dd in hess_terms:
-            h[i, j] += c * np.prod(z ** dd)
-        return 0.5 * (h + h.T)
+    def hessians(zs):
+        h = np.zeros((len(zs), 2 * n, 2 * n))
+        np.add.at(h, (slice(None), hess_rows, hess_cols),
+                  monomials(zs, hess_coeff, hess_pow))
+        return 0.5 * (h + h.transpose(0, 2, 1))
 
-    return HamiltonianSystem(n, value, gradient, hessian, name=name)
+    system = HamiltonianSystem(
+        n, value,
+        lambda z: gradients(np.asarray(z, dtype=float)[None])[0],
+        lambda z: hessians(np.asarray(z, dtype=float)[None])[0],
+        name=name,
+    )
+    return _with_batches(system, gradients, hessians)
 
 
 def check_field_symmetry(system, samples=8, seed=7):
@@ -382,11 +435,28 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
     return BrakeOrbit(system, float(energy), float(period), z0, times, states)
 
 
+def _stage_coefficients(system, states, h):
+    """J0 H''(z) at the four RK4 stage states of every step, (4, steps, 2n, 2n).
+
+    The stage states are rebuilt from the samples by the stage arithmetic
+    of ``_rk4``, so they are the ones a joint state-and-frame run visits.
+    """
+    z1 = states[:-1]
+    z2 = z1 + h / 2 * system.fields(z1)
+    z3 = z1 + h / 2 * system.fields(z2)
+    z4 = z1 + h * system.fields(z3)
+    hess = system.hessians(np.concatenate([z1, z2, z3, z4]))
+    return (system._j0 @ hess).reshape((4, len(z1)) + hess.shape[1:])
+
+
 def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
     """Fundamental solution of xi' = J0 H''(z(t)) xi along the orbit.
 
-    State and frame are integrated jointly with the same RK4 grid; the
-    frame is reprojected to the symplectic group after each step.
+    The state comes from the orbit's own samples when their step count
+    matches (the closing run of ``find_brake_orbit``), else from one RK4
+    run on the same grid.  The frame is integrated on that grid with the
+    Hessian at every stage state evaluated ahead in one batch, and is
+    reprojected to the symplectic group after each step.
     """
     system = orbit.system
     n = system.n
@@ -394,21 +464,16 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
     if steps % 2:
         steps += 1
     j0 = system._j0
-
-    def rhs(t, y):
-        z = y[0]
-        return np.concatenate((system.field(z)[None], j0 @ system.hessian(z) @ y[1:]))
-
-    def projected(t, y):
-        y[1:] = project_symplectic(y[1:], j0)
-        return y
-
-    # row 0 is the state z, rows 1: the frame
-    y0 = np.vstack([orbit.start, np.eye(2 * n)])
-    packed = _rk4(rhs, y0, 0.0, orbit.period / steps, steps, correct=projected)
+    h = orbit.period / steps
+    if len(orbit.states) == steps + 1:
+        states = orbit.states
+    else:
+        states = _rk4_state(system, orbit.start, (0.0, orbit.period), steps)
+    frames = _rk4(lambda a, y: a @ y, np.eye(2 * n), 0.0, h, steps,
+                  correct=lambda t, y: project_symplectic(y, j0),
+                  stages=_stage_coefficients(system, states, h))
     times = np.linspace(0.0, orbit.period, steps + 1)
-    return SymplecticPath(times, np.ascontiguousarray(packed[:, 1:]), based=True,
-                          config=config)
+    return SymplecticPath(times, frames, based=True, config=config)
 
 
 def reeb_factor(system, z):

@@ -24,7 +24,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT, Config
 from .core import (
@@ -231,6 +230,8 @@ def _form_counts(q):
 
 def _refine_dip(sigma_of, tl, tr, span):
     """(t, sigma) at the bottom of a dip of ``sigma_of`` inside (tl, tr)."""
+    import scipy.optimize
+
     res = scipy.optimize.minimize_scalar(
         sigma_of, bounds=(tl, tr), method="bounded",
         options={"xatol": max(_TIME_TOL * span, 1e-14)},

@@ -254,3 +254,35 @@ def test_kernel_dimension_respects_zero_tol():
     op = AsymptoticOperator(loop, FULL)
     assert kernel_dimension(op, K=8, config=Config(tol_zero_eig=1e-6)) == 0
     assert kernel_dimension(op, K=8, config=Config(tol_zero_eig=1e-3)) == 2
+
+
+def _sym(rng, n):
+    m = rng.uniform(-1.0, 1.0, (2 * n, 2 * n))
+    return m + m.T
+
+
+@pytest.mark.parametrize("tau", [1.0, 1.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fourier_values_equal_stacked_calls(n, tau):
+    rng = np.random.default_rng(41 + n)
+    loop = SymmetricLoop.fourier(_sym(rng, n),
+                                 cos={1: _sym(rng, n), 2: _sym(rng, n)},
+                                 sin={1: _sym(rng, n), 2: _sym(rng, n)}, tau=tau)
+    ts = np.concatenate([[0.0, tau, -tau, 2.5 * tau, -0.3], rng.uniform(-2.0, 3.0, 200)])
+    assert np.array_equal(loop.values(ts), np.stack([loop(t) for t in ts]))
+
+
+def test_constant_and_blend_values_equal_stacked_calls():
+    rng = np.random.default_rng(5)
+    const = SymmetricLoop.constant(_sym(rng, 2), tau=1.5)
+    wavy = SymmetricLoop.fourier(_sym(rng, 2), cos={2: _sym(rng, 2)},
+                                 sin={1: _sym(rng, 2)}, tau=1.5)
+    ts = np.concatenate([[0.0, 1.5, -1.5, -0.2], rng.uniform(-3.0, 3.0, 100)])
+    assert np.array_equal(const.values(ts), np.stack([const(t) for t in ts]))
+    fam = blend_family(const, wavy)
+    for s in (-1.0, -0.4, 0.0, 0.35, 1.0):
+        loop = fam.operator_at(s).loop
+        assert np.array_equal(loop.values(ts), np.stack([loop(t) for t in ts]))
+    # a loop from a plain callable stacks its calls
+    plain = SymmetricLoop(lambda t: wavy(t), 2, tau=1.5)
+    assert np.array_equal(plain.values(ts), wavy.values(ts))

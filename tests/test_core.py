@@ -1,11 +1,16 @@
 """Structure constants, paths, loops, and the exact half-integer type."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+from brakeindex.asymptotic import SymmetricLoop
 
 from brakeindex.core import (
     HalfInt,
@@ -395,3 +400,33 @@ def test_violation_shows_on_either_grid():
             crooked = SymplecticPath(times, _sampled_rotation(angle, times),
                                      based=True, evaluator=evaluator)
             assert check_brake_symmetry(crooked) > 1e-3
+
+
+def test_fundamental_solution_of_a_loop_equals_the_pointwise_route():
+    # the loop's stage coefficients come in one batch; a plain callable
+    # around the same loop is called per stage time
+    rng = np.random.default_rng(3)
+
+    def sym():
+        m = rng.uniform(-1.0, 1.0, (4, 4))
+        return m + m.T
+
+    loop = SymmetricLoop.fourier(7.0 * np.eye(4) + sym(), cos={1: sym(), 2: sym()},
+                                 sin={1: sym()}, tau=1.5)
+    for interval in ((0.0, 1.0), (-0.4, 2.2)):
+        got = fundamental_solution(loop, interval, steps=512)
+        want = fundamental_solution(lambda t: loop(t), interval, steps=512)
+        assert np.array_equal(got.values, want.values)
+        t = interval[0] + 0.3141 * (interval[1] - interval[0])
+        assert np.array_equal(got.value_at(t), want.value_at(t))
+
+
+def test_import_leaves_scipy_linalg_and_optimize_unloaded():
+    # both are imported where they are used, so a CLI start-up skips them
+    code = ("import sys, brakeindex.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

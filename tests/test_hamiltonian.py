@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from brakeindex.core import HalfInt, check_brake_symmetry, fundamental_solution
+from brakeindex.core import (
+    HalfInt,
+    _rk4,
+    check_brake_symmetry,
+    fundamental_solution,
+    project_symplectic,
+)
 from brakeindex.errors import (
     DegenerateOrbit,
     EnergyDrift,
@@ -227,3 +233,81 @@ def test_reeb_factor():
     assert reeb_factor(sys1, z) == pytest.approx(2.0)
     with pytest.raises(RadialDegeneracy):
         reeb_factor(sys1, np.zeros(2))
+
+
+def _packed_linearized_path(orbit, steps):
+    """The joint run: row 0 of the packed array is the state, rows 1: the
+    frame, both stepped together with the Hessian called at every stage."""
+    system = orbit.system
+    j0 = system._j0
+
+    def rhs(t, y):
+        z = y[0]
+        return np.concatenate((system.field(z)[None], j0 @ system.hessian(z) @ y[1:]))
+
+    def projected(t, y):
+        y[1:] = project_symplectic(y[1:], j0)
+        return y
+
+    y0 = np.vstack([orbit.start, np.eye(2 * system.n)])
+    packed = _rk4(rhs, y0, 0.0, orbit.period / steps, steps, correct=projected)
+    return packed[:, 1:]
+
+
+_QUARTIC = polynomial_system(1, [(0.5, (2, 0)), (0.5, (0, 2)), (0.1, (0, 4))])
+
+
+@pytest.fixture(scope="module", params=[
+    (harmonic_system(1), [1.0], 6.2),
+    (anisotropic_system([1.0, 2.3]), [0.0, 0.8], 4.0),
+    (_QUARTIC, [0.9], 6.0),
+], ids=["harmonic", "anisotropic", "quartic"])
+def closed_orbit(request):
+    system, q_guess, period_guess = request.param
+    return find_brake_orbit(system, 0.5, np.array(q_guess), period_guess, steps=512)
+
+
+@pytest.mark.parametrize("steps", [None, 512])
+def test_linearized_path_equals_the_joint_state_and_frame_run(closed_orbit, steps):
+    # at the default step count the orbit's own samples are the state; at
+    # 512 steps the state is integrated again on the coarser grid
+    path = linearized_path(closed_orbit, steps=steps)
+    m = len(path.times) - 1
+    assert (len(closed_orbit.states) == m + 1) == (steps is None)
+    assert np.array_equal(path.values, _packed_linearized_path(closed_orbit, m))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_polynomial_batches_equal_the_pointwise_terms(n):
+    rng = np.random.default_rng(17 + n)
+    terms = []
+    for _ in range(7):
+        powers = [int(k) for k in rng.integers(0, 4, 2 * n)]
+        powers[0] += sum(powers[:n]) % 2  # even degree in p
+        terms.append((float(rng.uniform(-1.0, 1.0)), powers))
+    system = polynomial_system(n, terms)
+    zs = 2.0 * rng.standard_normal((300, 2 * n))
+    zs[::5, :n] = 0.0
+
+    def term_sum(z, derivative):
+        # the derivative tables summed literally, term after term
+        g = np.zeros(2 * n)
+        h = np.zeros((2 * n, 2 * n))
+        for c, e in terms:
+            e = np.array(e)
+            for i in np.nonzero(e)[0]:
+                d = e.copy()
+                d[i] -= 1
+                g[i] += c * e[i] * np.prod(z ** d)
+                for j in np.nonzero(d)[0]:
+                    dd = d.copy()
+                    dd[j] -= 1
+                    h[i, j] += c * e[i] * d[j] * np.prod(z ** dd)
+        return g if derivative == 1 else 0.5 * (h + h.T)
+
+    grads = np.stack([term_sum(z, 1) for z in zs])
+    hess = np.stack([term_sum(z, 2) for z in zs])
+    assert np.array_equal(np.stack([system.gradient(z) for z in zs]), grads)
+    assert np.array_equal(np.stack([system.hessian(z) for z in zs]), hess)
+    assert np.array_equal(system.hessians(zs), hess)
+    assert np.array_equal(system.fields(zs), np.stack([system.field(z) for z in zs]))
