@@ -18,7 +18,6 @@ from .core import (
     fundamental_solution,
     hyperbolic_path,
     lagrangian_diagonal,
-    lagrangian_graph,
     lagrangian_l1,
     lagrangian_l2,
     loop_degree,

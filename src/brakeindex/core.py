@@ -217,19 +217,13 @@ def lagrangian_diagonal(n):
     return Lagrangian(f, j=product_form(n))
 
 
-def lagrangian_graph(m):
-    """Graph {(v, M v)} in R^{4n}, Lagrangian for the product form iff M is symplectic."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0] // 2
-    f = np.vstack([np.eye(2 * n), m])
-    return Lagrangian(f, j=product_form(n))
-
-
-def _interpolate(times, values, t):
+def _interpolate(times, values, t, logs=None):
     """Value at t of a path sampled in a matrix group.
 
     Returns the sample at a node; inside a cell it follows the geodesic
-    values[i] exp(frac log(values[i]^{-1} values[i + 1])).
+    values[i] exp(frac log(values[i]^{-1} values[i + 1])).  ``logs``, when
+    given, is a dict from cell index to that logarithm: a cell's log is
+    read from it, or computed once and stored there.
     """
     import scipy.linalg
 
@@ -240,9 +234,12 @@ def _interpolate(times, values, t):
         return values[i].copy()
     if t >= t1:
         return values[i + 1].copy()
-    step = np.linalg.solve(values[i], values[i + 1])
+    log = None if logs is None else logs.get(i)
+    if log is None:
+        log = scipy.linalg.logm(np.linalg.solve(values[i], values[i + 1]))
+        if logs is not None:
+            logs[i] = log
     frac = (t - t0) / (t1 - t0)
-    log = scipy.linalg.logm(step)
     return np.real(values[i] @ scipy.linalg.expm(frac * log))
 
 
@@ -251,8 +248,11 @@ class SymplecticPath:
 
     Samples live at ``times`` (strictly increasing); ``values`` has shape
     (m, 2n, 2n).  ``evaluator``, when given, must return the exact matrix
-    at any t in the interval and is preferred over interpolation.  A
-    based path starts at the identity exactly.  The samples are validated
+    at any t in the interval and is preferred over interpolation; an
+    evaluator with a ``values(ts)`` attribute evaluates a time array in
+    one call, with the same numbers as a call per time.  Without one, the
+    log of each cell's step is computed once and kept.  A based path
+    starts at the identity exactly.  The samples are validated
     under ``config.tol_symplectic``; every path derived from this one is
     validated under the same config.
     """
@@ -283,6 +283,7 @@ class SymplecticPath:
         self.based = based
         self.config = config
         self._evaluator = evaluator
+        self._logs = {}
 
     @property
     def a(self):
@@ -303,14 +304,15 @@ class SymplecticPath:
         t = min(max(t, self.times[0]), self.times[-1])
         if self._evaluator is not None:
             return np.asarray(self._evaluator(t), dtype=float)
-        return _interpolate(self.times, self.values, t)
+        return _interpolate(self.times, self.values, t, self._logs)
 
     def values_at(self, ts):
         """``value_at`` over the 1-d array ``ts``, stacked to (len(ts), 2n, 2n).
 
-        Element for element the same numbers as ``value_at``: the evaluator
-        is called per time when there is one; otherwise a time that is a
-        node gives its stored sample and any other time is interpolated.
+        Element for element the same numbers as ``value_at``: an evaluator
+        goes through ``_stacked`` (its own ``values`` batch, else a call per
+        time); without one, a time that is a node gives its stored sample
+        and any other time is interpolated.
         """
         ts = np.asarray(ts, dtype=float)
         outside = (ts < self.times[0] - 1e-12) | (ts > self.times[-1] + 1e-12)
@@ -318,15 +320,13 @@ class SymplecticPath:
             t = float(ts[np.argmax(outside)])
             raise ValidationError(f"t={t} outside [{self.a}, {self.b}]")
         ts = np.clip(ts, self.times[0], self.times[-1])
-        if self._evaluator is not None:
-            out = np.empty((len(ts), 2 * self.n, 2 * self.n))
-            for k, t in enumerate(ts):
-                out[k] = self._evaluator(float(t))
-            return out
+        if self._evaluator is not None and len(ts) > 0:
+            return _stacked(self._evaluator, ts)
+        # no evaluator (or no times): stored samples at nodes, else interpolated
         node = np.minimum(np.searchsorted(self.times, ts), len(self.times) - 1)
         out = self.values[node]
         for k in np.flatnonzero(self.times[node] != ts):
-            out[k] = _interpolate(self.times, self.values, float(ts[k]))
+            out[k] = _interpolate(self.times, self.values, float(ts[k]), self._logs)
         return out
 
     def end_value(self):
@@ -353,7 +353,11 @@ class SymplecticPath:
         ev = None
         if self._evaluator is not None:
             base = self._evaluator
-            ev = lambda t: base(a + b - t)
+
+            def ev(t):
+                return base(a + b - t)
+
+            ev.values = lambda ts: _stacked(base, a + b - ts)
         return SymplecticPath(times, values, based=False, evaluator=ev,
                               config=self.config)
 
@@ -373,7 +377,21 @@ def rotation_path(omega, n=1, interval=(0.0, 1.0), samples=257,
         m[n:, n:] = c * np.eye(n)
         return m
 
-    values = np.stack([at(t) for t in times])
+    def stacked(ts):
+        # math per time, as at(t) takes them; the blocks are c * eye as there
+        ts = np.asarray(ts, dtype=float).tolist()
+        c = np.array([math.cos(omega * t) for t in ts])[:, None, None]
+        s = np.array([math.sin(omega * t) for t in ts])[:, None, None]
+        eye = np.eye(n)
+        m = np.zeros((len(ts), 2 * n, 2 * n))
+        m[:, :n, :n] = c * eye
+        m[:, :n, n:] = -s * eye
+        m[:, n:, :n] = s * eye
+        m[:, n:, n:] = c * eye
+        return m
+
+    at.values = stacked
+    values = stacked(times)
     based = a == 0.0
     if based:
         values[0] = np.eye(2 * n)
@@ -402,7 +420,25 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
         r = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         return r @ d
 
-    values = np.stack([at(t) for t in times])
+    def stacked(ts):
+        ts = np.asarray(ts, dtype=float).tolist()
+        d = np.zeros((len(ts), 2, 2))
+        d[:, 0, 0] = [mag ** t for t in ts]
+        d[:, 1, 1] = [mag ** (-t) for t in ts]
+        if lam > 0:
+            return d
+        th = [math.pi * t for t in ts]
+        cos = [math.cos(x) for x in th]
+        sin = [math.sin(x) for x in th]
+        r = np.empty((len(ts), 2, 2))
+        r[:, 0, 0] = cos
+        r[:, 0, 1] = [-x for x in sin]
+        r[:, 1, 0] = sin
+        r[:, 1, 1] = cos
+        return r @ d
+
+    at.values = stacked
+    values = stacked(times)
     based = a == 0.0
     if based:
         values[0] = np.eye(2)
@@ -441,13 +477,19 @@ def _rk4(rhs, y0, t0, h, steps, correct=None, stages=None):
 
 
 def _stacked(fn, ts):
-    """``fn`` at every time of the 1-d array ``ts``, stacked to
-    (len(ts), 2n, 2n): one call of the loop's own ``values`` when it has
-    one, else one call of ``fn`` per time."""
+    """``fn`` at every time of the non-empty 1-d array ``ts``, stacked to
+    (len(ts), 2n, 2n): one call of the loop's or evaluator's own
+    ``values`` when it has one, else one call of ``fn`` per time, each
+    written straight into the result."""
     batch = getattr(fn, "values", None)
     if callable(batch):
         return batch(ts)
-    return np.stack([np.asarray(fn(float(t)), dtype=float) for t in ts])
+    first = np.asarray(fn(float(ts[0])), dtype=float)
+    out = np.empty((len(ts),) + first.shape)
+    out[0] = first
+    for k in range(1, len(ts)):
+        out[k] = fn(float(ts[k]))
+    return out
 
 
 def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,

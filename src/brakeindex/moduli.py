@@ -225,6 +225,17 @@ def iterate_path(path: SymplecticPath, m) -> SymplecticPath:
         j = min(int(t // tau), m - 1)
         return base_ev(t - j * tau) @ powers[j]
 
+    def stacked(ts):
+        # the cover of each time as at(t) takes it, then one batch per cover
+        ts = np.asarray(ts, dtype=float)
+        covers = np.array([min(int(t // tau), m - 1) for t in ts.tolist()], dtype=int)
+        out = np.empty((len(ts), 2 * path.n, 2 * path.n))
+        for j in np.unique(covers).tolist():
+            mask = covers == j
+            out[mask] = path.values_at(ts[mask] - j * tau) @ powers[j]
+        return out
+
+    at.values = stacked
     return SymplecticPath(times, values, based=True, evaluator=at,
                           config=path.config)
 

@@ -4,12 +4,13 @@ import io
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from brakeindex import __version__
 from brakeindex.capmodel import cap_kernel_cokernel, CapSpec
-from brakeindex.cli import main
+from brakeindex.cli import SCHEMAS, main, validate
 from brakeindex.moduli import ModuliSpec, OrbitRecord, virtual_dimension
 from brakeindex.core import HalfInt
 
@@ -89,6 +90,58 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     assert env["error"]["type"] == "ValidationError"
     assert env["error"]["violations"]
     assert env.get("report") is None
+
+
+def _schema_walk(command, document):
+    """validate()'s violation strings from a plain jsonschema run."""
+    errors = jsonschema.Draft202012Validator(SCHEMAS[command]).iter_errors(document)
+    errors = sorted(errors, key=lambda e: (list(map(str, e.path)), e.message))
+    return [f"{'.'.join(str(p) for p in e.path) or '$'}: {e.message}" for e in errors]
+
+
+def _sampled_variants():
+    times = np.linspace(0.0, 1.0, 5)
+    mats = [[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in times]
+    base = {"times": times.tolist(), "matrices": mats}
+
+    def variant(edit):
+        path = json.loads(json.dumps(base))
+        edit(path)
+        return path
+
+    return {
+        "valid": variant(lambda p: None),
+        "valid-int-entries": variant(lambda p: p["matrices"][0].__setitem__(0, [1, 0])),
+        "valid-based": variant(lambda p: p.__setitem__("based", True)),
+        "bool-in-matrix": variant(lambda p: p["matrices"][1][0].__setitem__(1, True)),
+        "bool-in-times": variant(lambda p: p["times"].__setitem__(3, False)),
+        "string-in-times": variant(lambda p: p["times"].__setitem__(2, "0.5")),
+        "null-in-matrix": variant(lambda p: p["matrices"][4][1].__setitem__(0, None)),
+        "one-entry-row": variant(lambda p: p["matrices"][2].__setitem__(1, [1.0])),
+        "one-row-matrix": variant(lambda p: p["matrices"].__setitem__(3, [[1.0, 0.0]])),
+        "single-time": variant(lambda p: p.__setitem__("times", [0.0])),
+        "times-not-list": variant(lambda p: p.__setitem__("times", 0.0)),
+        "extra-path-key": variant(lambda p: p.__setitem__("omega", 1.0)),
+        "kind-key": variant(lambda p: p.__setitem__("kind", "rotation")),
+    }
+
+
+def test_validate_fast_accept_matches_schema_walk():
+    # validate() skips the per-entry walk on plain-number sample arrays;
+    # every answer must still be the plain schema run's, string for string
+    loop = {"const": [[1.0, 0.0], [0.0, 1.0]]}
+    seen_valid = seen_invalid = 0
+    for name, path in _sampled_variants().items():
+        docs = [("index", {"path": path, "index": "all"}),
+                ("classify", {"path": path, "n": 1, "max_m": 2}),
+                ("classify", {"path": path, "n": 1}),
+                ("spectral-flow", {"minus": loop, "plus": loop, "path": path})]
+        for command, doc in docs:
+            want = _schema_walk(command, doc)
+            assert validate(command, doc) == want, (name, command)
+            seen_valid += not want
+            seen_invalid += bool(want)
+    assert (seen_valid, seen_invalid) == (6, 46)
 
 
 def test_invalid_json_exit_2(tmp_path, capsys):

@@ -23,7 +23,6 @@ from brakeindex.core import (
     fundamental_solution,
     hyperbolic_path,
     lagrangian_diagonal,
-    lagrangian_graph,
     lagrangian_l1,
     lagrangian_l2,
     loop_degree,
@@ -33,6 +32,7 @@ from brakeindex.core import (
     rotation_path,
     standard_symplectic,
     symplectic_residual,
+    _interpolate,
 )
 from brakeindex.errors import (
     PhaseJumpTooLarge,
@@ -40,6 +40,7 @@ from brakeindex.errors import (
     ValidationError,
 )
 from brakeindex.hamiltonian import find_brake_orbit, linearized_path, polynomial_system
+from brakeindex.indices import LagrangianPath
 from brakeindex.moduli import iterate_path
 
 
@@ -235,10 +236,14 @@ def test_lagrangian_default_form_in_two_dimensions():
 def test_graph_is_lagrangian_in_product_form():
     rng = np.random.default_rng(5)
     s = rng.standard_normal((4, 4))
-    m = scipy.linalg.expm(standard_symplectic(2) @ (s + s.T) / 2)
-    graph = lagrangian_graph(m)
+    gen = standard_symplectic(2) @ (s + s.T) / 2
+    times = np.linspace(0.0, 1.0, 9)
+    path = SymplecticPath(times, np.stack([scipy.linalg.expm(t * gen) for t in times]),
+                          based=True)
     jt = product_form(2)
-    assert np.max(np.abs(graph.frame.T @ jt @ graph.frame)) < 1e-9
+    frames = LagrangianPath.graph(path).frames(times)
+    assert frames.shape == (9, 8, 4)
+    assert np.max(np.abs(frames.transpose(0, 2, 1) @ jt @ frames)) < 1e-9
     diag = lagrangian_diagonal(2)
     assert np.max(np.abs(diag.frame.T @ jt @ diag.frame)) < 1e-12
 
@@ -314,19 +319,39 @@ def test_values_at_equals_stacked_value_at():
     exact = rotation_path(3.0, samples=33)
     sampled = SymplecticPath(exact.times, exact.values, based=True)
     loop = diagonal_unitary_loop((1,), samples=33)
+    batched = [rotation_path(-7.3, n=2, samples=33),
+               rotation_path(2.0, n=2, interval=(-0.4, 1.3), samples=17),
+               hyperbolic_path(2.5, samples=33), hyperbolic_path(-2.5, samples=33),
+               hyperbolic_path(-2.5, interval=(0.0, 1.7), samples=17)]
     paths = [
         exact, sampled,
         exact.restricted(0.2, 0.9), sampled.restricted(0.25, 0.75),
         exact.reversed(), sampled.reversed(),
         iterate_path(exact, 3), iterate_path(sampled, 2),
         pointwise_product(loop, sampled), pointwise_product(exact, sampled),
-    ]
+        fundamental_solution(lambda t: np.eye(2), steps=16).reversed(),
+    ] + batched + [p.reversed() for p in batched]
     for path in paths:
         ts = _nodes_and_cells(path.times, every=8)
         want = np.stack([path.value_at(t) for t in ts])
         assert np.array_equal(path.values_at(ts), want)
     with pytest.raises(ValidationError):
         sampled.values_at([0.5, 1.1])
+
+
+def test_cell_log_cache_equals_fresh_interpolation():
+    exact = rotation_path(3.0, samples=33)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    t0, t1 = sampled.times[5], sampled.times[6]
+    first, second = t0 + 0.3 * (t1 - t0), t0 + 0.8 * (t1 - t0)
+    # the first call stores the cell's log, the second reads it back
+    for t in (first, second):
+        assert np.array_equal(sampled.value_at(t),
+                              _interpolate(sampled.times, sampled.values, t))
+    assert list(sampled._logs) == [5]
+    assert np.array_equal(sampled.values_at([first, second]),
+                          np.stack([_interpolate(sampled.times, sampled.values, t)
+                                    for t in (first, second)]))
 
 
 def test_derived_paths_sample_their_source_exactly():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from brakeindex.core import HalfInt, hyperbolic_path, rotation_path
+from brakeindex.core import HalfInt, SymplecticPath, hyperbolic_path, rotation_path
 from brakeindex.errors import DegenerateIterate, DegenerateOrbit, ValidationError
 from brakeindex.moduli import (
     BRAKE,
@@ -126,6 +126,20 @@ def test_iterate_path_matches_monodromy_powers():
     lhs = it3.value_at(1.4)
     rhs = base.value_at(0.4) @ mono
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+def test_iterate_values_equal_stacked_calls(tau):
+    exact = rotation_path(2.3, interval=(0.0, tau), samples=17)
+    sampled = SymplecticPath(exact.times, exact.values, based=True)
+    for base in (exact, sampled):
+        for m in (2, 3, 4):
+            it = iterate_path(base, m)
+            # every node, a point inside each cell, and the cover boundaries
+            inside = it.times[:-1] + 0.41 * np.diff(it.times)
+            ts = np.concatenate([it.times, inside, [j * tau for j in range(m + 1)]])
+            want = np.stack([it.value_at(t) for t in ts])
+            assert np.array_equal(it.values_at(ts), want)
 
 
 def test_iterate_path_validation():
