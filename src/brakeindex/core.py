@@ -450,26 +450,41 @@ def _rk4(rhs, y0, t0, h, steps, correct=None, stages=None):
 
     Returns the (steps + 1,) + y0.shape samples.  Each new sample y at
     time t goes through ``correct(t, y)``, which returns it (possibly
-    projected) or raises, so a failure stops the loop at its step.
-    ``stages``, when given, holds four sequences indexed by step: stage s
-    of step i calls rhs(stages[s][i], y) in place of its stage time, so
-    a right-hand side evaluated ahead of the loop takes its coefficient
-    from there.
+    projected) or raises, so a failure stops the loop at its step.  ``h``
+    may be an array that broadcasts against y, so stacked rows can step
+    by their own sizes.
+
+    ``stages``, when given, makes the flow linear, y' = A(t) y, and
+    ``rhs`` is not called: it holds four (steps, d, d) arrays, the
+    coefficient A at stage s of every step.  One RK4 step of a linear
+    flow is then the matrix (the stability polynomial of the method)
+
+        P_i = I + (h/6) (A1 + 2 K2 + 2 K3 + K4),
+        K2 = A2 (I + h/2 A1),  K3 = A3 (I + h/2 K2),  K4 = A4 (I + h K3),
+
+    so every P_i is formed in stacked products before the loop, and the
+    loop only applies them.
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((steps + 1,) + y.shape)
     out[0] = y
+    if stages is not None:
+        a1, a2, a3, a4 = stages
+        eye = np.eye(a1.shape[-1])
+        k2 = a2 @ (eye + h / 2 * a1)
+        k3 = a3 @ (eye + h / 2 * k2)
+        k4 = a4 @ (eye + h * k3)
+        steppers = eye + (h / 6) * (a1 + 2 * k2 + 2 * k3 + k4)
     for i in range(steps):
-        if stages is None:
-            t = t0 + i * h
-            a1, a2, a3, a4 = t, t + h / 2, t + h / 2, t + h
+        if stages is not None:
+            y = steppers[i] @ y
         else:
-            a1, a2, a3, a4 = stages[0][i], stages[1][i], stages[2][i], stages[3][i]
-        k1 = rhs(a1, y)
-        k2 = rhs(a2, y + h / 2 * k1)
-        k3 = rhs(a3, y + h / 2 * k2)
-        k4 = rhs(a4, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t0 + i * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if correct is not None:
             y = correct(t0 + (i + 1) * h, y)
         out[i + 1] = y
@@ -500,7 +515,9 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
     re-projection after every step.  ``b_of_t`` returns the symmetric
     2n x 2n coefficient at time t.  Each step must stay within
     tol.symplectic; the returned path is validated, and remembers, ten
-    times that.
+    times that.  Its evaluator returns the sample at a node and one RK4
+    step from the node before at any other time, per time or over a time
+    array.
     """
     a, b = float(interval[0]), float(interval[1])
     steps = config.ode_steps if steps is None else int(steps)
@@ -528,8 +545,8 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
     t_i = a + np.arange(steps) * h
     jb = j @ _stacked(b_of_t, np.concatenate([t_i, t_i + h / 2, t_i + h]))
     mid = jb[steps : 2 * steps]
-    values = _rk4(lambda jb_t, g: jb_t @ g, np.eye(2 * n), a, h, steps,
-                  correct=checked, stages=(jb[:steps], mid, mid, jb[2 * steps :]))
+    values = _rk4(None, np.eye(2 * n), a, h, steps, correct=checked,
+                  stages=(jb[:steps], mid, mid, jb[2 * steps :]))
 
     def at(t):
         t = float(t)
@@ -542,6 +559,16 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
             return values[-1].copy()
         return _rk4(rhs, values[i], t0, t - t0, 1, correct=projected)[1]
 
+    def batch(ts):
+        # the node sample wherever at(t) returns one, at(t) elsewhere
+        ts = np.asarray(ts, dtype=float)
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, steps)
+        out = values[i]
+        for k in np.flatnonzero(~(np.abs(ts - times[i]) < 1e-15) & (i < steps)):
+            out[k] = at(ts[k])
+        return out
+
+    at.values = batch
     return SymplecticPath(times, values, based=True, evaluator=at,
                           config=dataclasses.replace(config, tol_symplectic=10 * tol))
 

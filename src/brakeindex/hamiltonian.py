@@ -221,6 +221,12 @@ def polynomial_system(n, terms, symmetric=True, name="polynomial"):
         np.add.at(g, (slice(None), grad_idx), monomials(zs, grad_coeff, grad_pow))
         return g
 
+    def gradient(z):
+        # np.bincount adds in term order too, so this is a row of gradients
+        z = np.asarray(z, dtype=float)
+        return np.bincount(grad_idx, weights=grad_coeff * np.prod(z ** grad_pow, axis=1),
+                           minlength=2 * n)
+
     def hessians(zs):
         h = np.zeros((len(zs), 2 * n, 2 * n))
         np.add.at(h, (slice(None), hess_rows, hess_cols),
@@ -228,8 +234,7 @@ def polynomial_system(n, terms, symmetric=True, name="polynomial"):
         return 0.5 * (h + h.transpose(0, 2, 1))
 
     system = HamiltonianSystem(
-        n, value,
-        lambda z: gradients(np.asarray(z, dtype=float)[None])[0],
+        n, value, gradient,
         lambda z: hessians(np.asarray(z, dtype=float)[None])[0],
         name=name,
     )
@@ -253,7 +258,13 @@ def check_field_symmetry(system, samples=8, seed=7):
 
 
 def _escape_check(t, z):
-    if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e8:
+    """Raise when a state, or any row of stacked states, has |z| > 1e8.
+
+    A nan or inf state fails the same comparison, since its z . z is nan
+    or inf.
+    """
+    sq = z @ z if z.ndim == 1 else np.einsum("ij,ij->i", z, z).max()
+    if not float(sq) <= 1e16:
         raise LeftEnergySurface("trajectory escaped to infinity")
     return z
 
@@ -344,9 +355,11 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
 
     The energy constraint is enforced by rescaling q radially onto the
     level after every update, so Gauss-Newton only sees the n momentum
-    equations in the n+1 unknowns (q, T).  Raises SymmetryViolated for a
-    non brake symmetric field, NoConvergence when the residual stalls,
-    LeftEnergySurface when trajectories escape.
+    equations in the n+1 unknowns (q, T).  The n+1 finite-difference
+    points of its Jacobian are all rescaled first and then shot as the
+    rows of one run.  Raises SymmetryViolated for a non brake symmetric
+    field, NoConvergence when the residual stalls, LeftEnergySurface when
+    trajectories escape.
     """
     sym = check_field_symmetry(system)
     if sym > _SYMMETRY_TOL:
@@ -360,13 +373,20 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
     x = np.concatenate([_rescale_to_energy(system, q0, energy),
                         [float(period_guess)]])
 
-    def residual(xv):
-        q, period = xv[:n], xv[n]
-        if period <= 1e-8:
+    def residuals(xs):
+        # p(T/2) for every row (q, T) of xs, in one stacked run whose rows
+        # step by their own h = (T/2) / steps
+        periods = xs[:, n]
+        if np.any(periods <= 1e-8):
             raise LeftEnergySurface("period collapsed to zero while shooting")
-        z0 = np.concatenate([np.zeros(n), q])
-        states = _rk4_state(system, z0, (0.0, 0.5 * period), steps)
-        return states[-1][:n]
+        z0 = np.hstack([np.zeros((len(xs), n)), xs[:, :n]])
+        h = (0.5 * periods / steps)[:, None]
+        states = _rk4(lambda t, z: system.fields(z), z0, 0.0, h, steps,
+                      correct=_escape_check)
+        return states[-1][:, :n]
+
+    def residual(xv):
+        return residuals(xv[None])[0]
 
     def renormalized(xv):
         return np.concatenate([_rescale_to_energy(system, xv[:n], energy),
@@ -379,11 +399,10 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
         if np.max(np.abs(r)) < tol * scale:
             converged = True
             break
-        jac = np.empty((n, n + 1))
-        for j in range(n + 1):
-            e = np.zeros(n + 1)
-            e[j] = 1e-6 * (1.0 + abs(x[j]))
-            jac[:, j] = (residual(renormalized(x + e)) - r) / e[j]
+        # column j moves x[j] alone; all n + 1 points shoot in one run
+        dx = 1e-6 * (1.0 + np.abs(x))
+        points = np.array([renormalized(xe) for xe in x + np.diag(dx)])
+        jac = (residuals(points) - r).T / dx
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam, best = 1.0, None
         for _ in range(8):
@@ -469,7 +488,7 @@ def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
         states = orbit.states
     else:
         states = _rk4_state(system, orbit.start, (0.0, orbit.period), steps)
-    frames = _rk4(lambda a, y: a @ y, np.eye(2 * n), 0.0, h, steps,
+    frames = _rk4(None, np.eye(2 * n), 0.0, h, steps,
                   correct=lambda t, y: project_symplectic(y, j0),
                   stages=_stage_coefficients(system, states, h))
     times = np.linspace(0.0, orbit.period, steps + 1)

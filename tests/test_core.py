@@ -446,6 +446,24 @@ def test_fundamental_solution_of_a_loop_equals_the_pointwise_route():
         assert np.array_equal(got.value_at(t), want.value_at(t))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.4, 2.2)])
+def test_fundamental_solution_values_equal_stacked_calls(interval):
+    # nodes give the stored sample, any other time one RK4 step from the
+    # node before it; both ends, times within 1e-15 of a node and times
+    # just past one are included
+    path = fundamental_solution(lambda t: np.diag([1.0 + t, 2.0 - t]), interval, steps=64)
+    at = path._evaluator
+    times = path.times
+    ts = np.concatenate([_nodes_and_cells(times, every=5), times[::9] + 4e-16,
+                         times[1::9] + 3e-15, [times[0], times[-1], times[-1] - 1e-9]])
+    want = np.stack([at(t) for t in ts])
+    assert np.array_equal(at.values(ts), want)
+    assert np.array_equal(path.values_at(ts), want)
+    assert np.array_equal(at.values(times), path.values)
+    half = path.restricted(path.a, (path.a + path.b) / 2)
+    assert np.array_equal(half.values, np.stack([at(t) for t in half.times]))
+
+
 def test_import_leaves_scipy_linalg_and_optimize_unloaded():
     # both are imported where they are used, so a CLI start-up skips them
     code = ("import sys, brakeindex.cli; "

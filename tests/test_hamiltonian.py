@@ -1,6 +1,7 @@
 """Hamiltonian systems, integration, shooting, and linearized grading."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from brakeindex.errors import (
 )
 from brakeindex.hamiltonian import (
     HamiltonianSystem,
+    _escape_check,
+    _rk4_state,
+    _stage_coefficients,
     anisotropic_system,
     check_field_symmetry,
     find_brake_orbit,
@@ -267,14 +271,84 @@ def closed_orbit(request):
     return find_brake_orbit(system, 0.5, np.array(q_guess), period_guess, steps=512)
 
 
-@pytest.mark.parametrize("steps", [None, 512])
+@pytest.mark.parametrize("steps", [None, 512, 128])
 def test_linearized_path_equals_the_joint_state_and_frame_run(closed_orbit, steps):
     # at the default step count the orbit's own samples are the state; at
-    # 512 steps the state is integrated again on the coarser grid
+    # 512 and 128 steps the state is integrated again on a coarser grid,
+    # where a stage mix-up shows above rounding.  The frame steps by one
+    # matrix per step, formed ahead, where the joint run applies the four
+    # stages to the frame: equal up to rounding
     path = linearized_path(closed_orbit, steps=steps)
     m = len(path.times) - 1
     assert (len(closed_orbit.states) == m + 1) == (steps is None)
-    assert np.array_equal(path.values, _packed_linearized_path(closed_orbit, m))
+    want = _packed_linearized_path(closed_orbit, m)
+    assert np.max(np.abs(path.values - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [None, 512])
+def test_linear_stages_step_by_their_propagators(closed_orbit, steps):
+    # a linear run applies P_i = I + h/6 (A1 + 2 K2 + 2 K3 + K4) at step i,
+    # then the correction; here each P_i is formed in its own step
+    system = closed_orbit.system
+    m = steps or len(closed_orbit.states) - 1
+    h = closed_orbit.period / m
+    states = _rk4_state(system, closed_orbit.start, (0.0, closed_orbit.period), m)
+    stages = _stage_coefficients(system, states, h)
+    j0 = system._j0
+    eye = np.eye(2 * system.n)
+    y = eye
+    want = [y]
+    for a1, a2, a3, a4 in zip(*stages):
+        k2 = a2 @ (eye + h / 2 * a1)
+        k3 = a3 @ (eye + h / 2 * k2)
+        k4 = a4 @ (eye + h * k3)
+        y = project_symplectic((eye + (h / 6) * (a1 + 2 * k2 + 2 * k3 + k4)) @ y, j0)
+        want.append(y)
+    got = _rk4(None, eye, 0.0, h, m, correct=lambda t, y: project_symplectic(y, j0),
+               stages=stages)
+    assert np.array_equal(got, np.stack(want))
+    assert np.array_equal(linearized_path(closed_orbit, steps=steps).values, got)
+
+
+def test_stacked_rows_step_like_separate_runs(closed_orbit):
+    # shooting integrates its points as rows of one state, each row with
+    # its own step; every row must be the run it replaces
+    system = closed_orbit.system
+    n = system.n
+    rng = np.random.default_rng(5)
+    z0 = np.hstack([np.zeros((n + 1, n)),
+                    closed_orbit.start[n:] * rng.uniform(0.9, 1.1, (n + 1, n))])
+    halves = 0.5 * closed_orbit.period * rng.uniform(0.95, 1.05, n + 1)
+    steps = 256
+    got = _rk4(lambda t, z: system.fields(z), z0, 0.0, (halves / steps)[:, None], steps,
+               correct=_escape_check)
+    for row, (z, half) in enumerate(zip(z0, halves)):
+        assert np.array_equal(got[:, row], _rk4_state(system, z, (0.0, half), steps))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.01e8], ids=["nan", "inf", "far"])
+def test_escape_stops_the_run_at_the_bad_step(bad):
+    # the right-hand side is zero except on step 5 (from 0), which moves q
+    # to bad
+    calls = []
+
+    def rhs(t, z):
+        calls.append(t)
+        return np.array([0.0, bad / 0.5 if len(calls) > 20 else 0.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LeftEnergySurface):
+            _rk4(rhs, np.array([0.0, 1.0]), 0.0, 0.5, 10, correct=_escape_check)
+        assert len(calls) == 24
+        # a stacked run stops at the same step when one row goes bad
+        calls.clear()
+        with pytest.raises(LeftEnergySurface):
+            _rk4(lambda t, z: np.stack([np.zeros(2), rhs(t, z[1])]),
+                 np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0, 0.5, 10, correct=_escape_check)
+        assert len(calls) == 24
+    # just inside the bound the run goes on
+    assert _escape_check(0.0, np.array([0.0, 0.99e8])) is not None
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -307,7 +381,10 @@ def test_polynomial_batches_equal_the_pointwise_terms(n):
 
     grads = np.stack([term_sum(z, 1) for z in zs])
     hess = np.stack([term_sum(z, 2) for z in zs])
+    # the single-point gradient sums its own table; it must equal both
+    # the literal sum and a row of the batch, the one shooting uses
     assert np.array_equal(np.stack([system.gradient(z) for z in zs]), grads)
+    assert np.array_equal(system._gradients(zs), grads)
     assert np.array_equal(np.stack([system.hessian(z) for z in zs]), hess)
     assert np.array_equal(system.hessians(zs), hess)
     assert np.array_equal(system.fields(zs), np.stack([system.field(z) for z in zs]))

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brakeindex.asymptotic import SymmetricLoop
+from brakeindex.asymptotic import (
+    BRAKE,
+    FULL,
+    AsymptoticOperator,
+    SymmetricLoop,
+    kernel_dimension,
+)
 from brakeindex.core import (
     HalfInt,
     diagonal_unitary_loop,
@@ -147,14 +153,19 @@ def perturbed_loops(draw):
 @given(perturbed_loops())
 def test_perturbed_loops_keep_the_closed_form_indices(drawn):
     # a plane with turns t off the integers has cz 2 floor(t) + 1 and mu1
-    # floor(t) + 1/2; on 2 pi k it has cz 2k + 1 (upper value), mu1 = k
-    # and nullities (2, 1, 1)
+    # = mu2 = floor(t) + 1/2; on 2 pi k it has cz 2k + 1 (upper value),
+    # mu1 = mu2 = k and nullities (2, 1, 1).  The kernels of the
+    # asymptotic operator on the full and brake domains are nu and nu1
     loop, turns, degenerate = drawn
     path = fundamental_solution(loop, (0.0, 1.0), steps=2048)
     floors = [round(t) if i == degenerate else math.floor(t) for i, t in enumerate(turns)]
     assert conley_zehnder(path) == HalfInt.from_int(sum(2 * k + 1 for k in floors))
-    assert brake_maslov(path) == HalfInt(sum(2 * k + (i != degenerate)
-                                             for i, k in enumerate(floors)))
+    mu = HalfInt(sum(2 * k + (i != degenerate) for i, k in enumerate(floors)))
+    assert brake_maslov(path) == mu
+    assert brake_maslov(path, k=2) == mu
     nu, nu1, nu2 = nullities(path)
     assert nu1 + nu2 == nu
     assert (nu, nu1, nu2) == ((0, 0, 0) if degenerate is None else (2, 1, 1))
+    kernels = [kernel_dimension(AsymptoticOperator(loop, domain), K=16)
+               for domain in (FULL, BRAKE)]
+    assert kernels == [nu, nu1]
