@@ -30,7 +30,6 @@ from .core import (
     standard_symplectic,
 )
 from .errors import (
-    CrossingUnresolved,
     EndpointDegenerate,
     SymmetryViolated,
     TruncationUnstable,
@@ -196,37 +195,34 @@ def _brake_block(a, K, n):
 class Discretization:
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    K: int
-    domain: str
 
 
-def discretize(op: AsymptoticOperator, K=None, check_stability=True, *,
-               config: Config = DEFAULT):
+def _galerkin(op: AsymptoticOperator, K):
+    """Galerkin matrix of op at truncation K, on op's domain."""
+    a = _assemble(op, K)
+    return _brake_block(a, K, op.loop.n) if op.domain == BRAKE else a
+
+
+def discretize(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
     """Symmetric eigenproblem at truncation K (fourier.K by default),
-    validated against 2K.
+    validated against 2K; returns the K discretization and the 2K
+    eigenvalues.
 
     Every eigenvalue of the 2K problem inside the stability window must
     be matched by a K eigenvalue within the stability tolerance, else the
     truncation is declared unstable.
     """
     K = config.fourier_K if K is None else int(K)
-    a = _assemble(op, K)
-    if op.domain == BRAKE:
-        a = _brake_block(a, K, op.loop.n)
+    a = _galerkin(op, K)
     eigs = np.linalg.eigvalsh(a)
-    if check_stability:
-        a2 = _assemble(op, 2 * K)
-        if op.domain == BRAKE:
-            a2 = _brake_block(a2, 2 * K, op.loop.n)
-        eigs2 = np.linalg.eigvalsh(a2)
-        near = eigs2[np.abs(eigs2) < _STABILITY_WINDOW]
-        for lam in near:
-            if np.min(np.abs(eigs - lam)) > _STABILITY_TOL:
-                raise TruncationUnstable(
-                    f"eigenvalue {lam:.6g} at 2K={2 * K} has no partner at K={K}"
-                )
-        return Discretization(a, eigs, K, op.domain), eigs2
-    return Discretization(a, eigs, K, op.domain), None
+    eigs2 = np.linalg.eigvalsh(_galerkin(op, 2 * K))
+    near = eigs2[np.abs(eigs2) < _STABILITY_WINDOW]
+    for lam in near:
+        if np.min(np.abs(eigs - lam)) > _STABILITY_TOL:
+            raise TruncationUnstable(
+                f"eigenvalue {lam:.6g} at 2K={2 * K} has no partner at K={K}"
+            )
+    return Discretization(a, eigs), eigs2
 
 
 def _zero_threshold(eigs2, zero_tol):
@@ -238,7 +234,7 @@ def _zero_threshold(eigs2, zero_tol):
 def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
     """Dimension of the numerical kernel under tol.zero_eig, stable
     between K and 2K."""
-    disc, eigs2 = discretize(op, K, check_stability=True, config=config)
+    disc, eigs2 = discretize(op, K, config=config)
     thr = _zero_threshold(eigs2, config.tol_zero_eig)
     count = int(np.sum(np.abs(disc.eigenvalues) < thr))
     count2 = int(np.sum(np.abs(eigs2) < thr))
@@ -249,27 +245,34 @@ def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT
     return count
 
 
-class OperatorFamily:
-    """A one-parameter family s -> AsymptoticOperator over [s_min, s_max]."""
-
-    def __init__(self, loop_of_s, interval, domain=FULL, n=None, tau=1.0):
-        self.s_min = float(interval[0])
-        self.s_max = float(interval[1])
-        if not self.s_min < self.s_max:
-            raise ValidationError("family interval must be nondegenerate")
-        self._loop_of_s = loop_of_s
-        self.domain = domain
-        probe = loop_of_s(self.s_min)
-        self.n = probe.n if n is None else n
-        self.tau = probe.tau
-
-    def operator_at(self, s):
-        return AsymptoticOperator(self._loop_of_s(float(s)), self.domain)
-
-
 def smoothstep(x):
     x = min(max(x, 0.0), 1.0)
     return x * x * (3.0 - 2.0 * x)
+
+
+@dataclasses.dataclass(frozen=True)
+class OperatorFamily:
+    """The family s -> -J0 d/dt - S_s(t) over [s_min, s_max] on one domain,
+    with S_s = (1 - beta(s)) S- + beta(s) S+ a smoothstep blend of two
+    coefficient loops."""
+
+    loop_minus: SymmetricLoop
+    loop_plus: SymmetricLoop
+    s_min: float
+    s_max: float
+    domain: str = FULL
+
+    def beta(self, s):
+        return smoothstep((s - self.s_min) / (self.s_max - self.s_min))
+
+    def operator_at(self, s):
+        beta = self.beta(float(s))
+        minus, plus = self.loop_minus, self.loop_plus
+        loop = SymmetricLoop._batched(
+            lambda t: (1.0 - beta) * minus(t) + beta * plus(t),
+            lambda ts: (1.0 - beta) * minus.values(ts) + beta * plus.values(ts),
+            minus.n, minus.tau)
+        return AsymptoticOperator(loop, self.domain)
 
 
 def blend_family(loop_minus: SymmetricLoop, loop_plus: SymmetricLoop,
@@ -278,19 +281,9 @@ def blend_family(loop_minus: SymmetricLoop, loop_plus: SymmetricLoop,
     if loop_minus.n != loop_plus.n or abs(loop_minus.tau - loop_plus.tau) > 1e-12:
         raise ValidationError("endpoint loops must share n and tau")
     s0, s1 = float(interval[0]), float(interval[1])
-
-    def loop_of_s(s):
-        beta = smoothstep((s - s0) / (s1 - s0))
-
-        def fn(t):
-            return (1.0 - beta) * loop_minus(t) + beta * loop_plus(t)
-
-        def batch(ts):
-            return (1.0 - beta) * loop_minus.values(ts) + beta * loop_plus.values(ts)
-
-        return SymmetricLoop._batched(fn, batch, loop_minus.n, loop_minus.tau)
-
-    return OperatorFamily(loop_of_s, interval, domain=domain)
+    if not s0 < s1:
+        raise ValidationError("family interval must be nondegenerate")
+    return OperatorFamily(loop_minus, loop_plus, s0, s1, domain)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,31 +292,36 @@ class FlowReport:
     crossings: tuple  # (s, sign) pairs, sign +1 for positive-to-negative
 
 
-def spectral_flow(family: OperatorFamily, K=None, max_multiplicity=None, *,
-                  config: Config = DEFAULT):
+def spectral_flow(family: OperatorFamily, K=None, *, config: Config = DEFAULT):
     """Signed count of eigenvalue crossings through zero along the family.
 
     The count tracks the number of negative eigenvalues: a crossing from
     positive to negative contributes +1.  Brackets where the negative
     count jumps are bisected; a bracket that shrinks to the refinement
     floor is recorded as one crossing of that multiplicity (symmetric
-    problems cross in genuine pairs).  With ``max_multiplicity`` set, a
-    floor-width bracket jumping by more raises CrossingUnresolved.
-    Endpoints must be nondegenerate under tol.zero_eig.
+    problems cross in genuine pairs).  Endpoints must be nondegenerate
+    under tol.zero_eig, and brake-symmetric on the brake domain.
+
+    The Galerkin matrix is linear in the coefficient loop, so each
+    scanned s blends the two endpoint matrices; the brake residual is a
+    seminorm, so symmetric endpoints make every blend symmetric.
     """
     K = config.fourier_K if K is None else int(K)
 
+    ends = []
     for s_end in (family.s_min, family.s_max):
-        if kernel_dimension(family.operator_at(s_end), K=K, config=config) > 0:
+        op = family.operator_at(s_end)
+        if kernel_dimension(op, K=K, config=config) > 0:
             raise EndpointDegenerate(f"family endpoint s={s_end} is degenerate")
+        ends.append(_galerkin(op, K))
+    a_minus, a_plus = ends
 
     cache = {}
 
     def neg_count(s):
         if s not in cache:
-            a = _assemble(family.operator_at(s), K)
-            if family.domain == BRAKE:
-                a = _brake_block(a, K, family.n)
+            beta = family.beta(s)
+            a = (1.0 - beta) * a_minus + beta * a_plus
             cache[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
         return cache[s]
 
@@ -335,14 +333,7 @@ def spectral_flow(family: OperatorFamily, K=None, max_multiplicity=None, *,
         jump = neg_count(sr) - neg_count(sl)
         if jump == 0:
             continue
-        if abs(jump) == 1:
-            crossings.append(((sl + sr) / 2.0, jump))
-            continue
-        if sr - sl < _REFINE_FLOOR:
-            if max_multiplicity is not None and abs(jump) > max_multiplicity:
-                raise CrossingUnresolved(
-                    f"negative count jumps by {jump} inside [{sl}, {sr}]"
-                )
+        if abs(jump) == 1 or sr - sl < _REFINE_FLOOR:
             crossings.append(((sl + sr) / 2.0, jump))
             continue
         sm = (sl + sr) / 2.0

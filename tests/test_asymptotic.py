@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from brakeindex import asymptotic
 from brakeindex.asymptotic import (
     BRAKE,
     FULL,
     AsymptoticOperator,
-    OperatorFamily,
+    FlowReport,
     SymmetricLoop,
     blend_family,
     cylinder_index,
@@ -21,7 +22,6 @@ from brakeindex.asymptotic import (
 from brakeindex.config import Config
 from brakeindex.core import HalfInt, rotation_path
 from brakeindex.errors import (
-    CrossingUnresolved,
     EndpointDegenerate,
     SymmetryViolated,
     TruncationUnstable,
@@ -74,14 +74,15 @@ def test_fourier_loop_evaluates_series():
     assert loop.brake_residual() > 0.1  # the sin term breaks the symmetry
 
 
-def _coupled_n2_loop(brake_symmetric):
+def _coupled_n2_loop(brake_symmetric, shift=0.0):
     # n = 2 blocks with nonzero off-diagonal entries; in the brake case the
-    # cos terms commute with N0 = diag(-I, I) and the sin term anticommutes
+    # cos terms commute with N0 = diag(-I, I) and the sin term anticommutes;
+    # shift adds a multiple of the identity
     a = np.array([[1.1, 0.3], [0.3, -0.4]])
     b = np.array([[0.6, -0.7], [-0.7, 2.0]])
     x = np.array([[0.2, 0.5], [-0.3, 0.8]])
     z = np.zeros((2, 2))
-    const = np.block([[a, z], [z, b]])
+    const = np.block([[a, z], [z, b]]) + shift * np.eye(4)
     cos1 = np.block([[b, z], [z, 0.5 * a]])
     sin2 = np.block([[z, x], [x.T, z]])
     if not brake_symmetric:
@@ -123,9 +124,9 @@ def test_assembly_matches_literal_quadrature(K, brake_symmetric):
         mult += (tau / m_pts) * np.kron(np.outer(phi(t), phi(t)), loop(t))
     want = np.kron(deriv, j0) - mult
 
-    disc, _ = discretize(AsymptoticOperator(loop, FULL), K, check_stability=False)
-    assert disc.matrix.shape == want.shape
-    assert np.max(np.abs(disc.matrix - want)) < 1e-12
+    got = asymptotic._assemble(AsymptoticOperator(loop, FULL), K)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_loop_values_must_be_symmetric():
@@ -149,8 +150,6 @@ def test_truncation_instability_detected():
     )
     with pytest.raises(TruncationUnstable):
         discretize(AsymptoticOperator(loop, FULL), 3)
-    disc, _ = discretize(AsymptoticOperator(loop, FULL), 3, check_stability=False)
-    assert disc.K == 3
 
 
 def test_blend_family_interpolates_endpoints():
@@ -217,11 +216,112 @@ def test_spectral_flow_two_frequency_block():
     assert flow.value == want
 
 
-def test_multiplicity_cap_raises():
-    lm = SymmetricLoop.constant(1.0 * np.eye(2))
-    lp = SymmetricLoop.constant(7.0 * np.eye(2))
-    with pytest.raises(CrossingUnresolved):
-        spectral_flow(blend_family(lm, lp, domain=FULL), K=16, max_multiplicity=1)
+def _per_s_flow(family, K):
+    """spectral_flow by the direct route: the blended operator is built and
+    assembled afresh at every scanned s, with the same endpoint checks,
+    grid, bisection and refinement floor."""
+    for s_end in (family.s_min, family.s_max):
+        if kernel_dimension(family.operator_at(s_end), K=K) > 0:
+            raise EndpointDegenerate(f"family endpoint s={s_end} is degenerate")
+    cache = {}
+
+    def neg_count(s):
+        if s not in cache:
+            op = family.operator_at(s)
+            a = asymptotic._assemble(op, K)
+            if op.domain == BRAKE:
+                a = asymptotic._brake_block(a, K, op.loop.n)
+            cache[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
+        return cache[s]
+
+    grid = list(np.linspace(family.s_min, family.s_max, asymptotic._S_SAMPLES))
+    crossings = []
+    stack = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)]
+    while stack:
+        sl, sr = stack.pop()
+        jump = neg_count(sr) - neg_count(sl)
+        if jump == 0:
+            continue
+        if abs(jump) == 1 or sr - sl < asymptotic._REFINE_FLOOR:
+            crossings.append(((sl + sr) / 2.0, jump))
+            continue
+        sm = (sl + sr) / 2.0
+        stack.append((sl, sm))
+        stack.append((sm, sr))
+    crossings.sort(key=lambda c: c[0])
+    return FlowReport(neg_count(family.s_max) - neg_count(family.s_min), tuple(crossings))
+
+
+def _n1_fourier(shift):
+    # cos terms commute with N0 = diag(-1, 1), the sin term anticommutes
+    return SymmetricLoop.fourier(np.diag([1.0, 1.3]) + shift * np.eye(2),
+                                 cos={1: np.diag([0.3, -0.2])},
+                                 sin={1: np.array([[0.0, 0.25], [0.25, 0.0]])})
+
+
+_REFERENCE_FAMILIES = {
+    # the double eigenvalue 2 pi - omega bisects down to the floor
+    "constant-n1-full-double": lambda: blend_family(
+        SymmetricLoop.constant(1.0 * np.eye(2)), SymmetricLoop.constant(7.0 * np.eye(2))),
+    "constant-n1-brake": lambda: blend_family(
+        SymmetricLoop.constant(1.0 * np.eye(2)), SymmetricLoop.constant(7.0 * np.eye(2)),
+        domain=BRAKE),
+    "constant-n1-full-reversed": lambda: blend_family(
+        SymmetricLoop.constant(7.0 * np.eye(2)), SymmetricLoop.constant(1.0 * np.eye(2))),
+    "constant-n2-brake": lambda: blend_family(
+        SymmetricLoop.constant(np.diag([1.0, 5.0, 1.0, 5.0])),
+        SymmetricLoop.constant(np.diag([7.0, 13.0, 7.0, 13.0])), domain=BRAKE),
+    "fourier-n1-full": lambda: blend_family(_n1_fourier(0.0), _n1_fourier(6.6)),
+    "fourier-n1-brake": lambda: blend_family(_n1_fourier(0.0), _n1_fourier(6.6),
+                                             interval=(0.0, 3.0), domain=BRAKE),
+    "fourier-n2-full": lambda: blend_family(_coupled_n2_loop(False, 0.5),
+                                            _coupled_n2_loop(False, 9.0)),
+    "fourier-n2-brake": lambda: blend_family(_coupled_n2_loop(True, 0.5),
+                                             _coupled_n2_loop(True, 9.0), domain=BRAKE),
+    "fourier-n2-brake-reversed": lambda: blend_family(
+        _coupled_n2_loop(True, 5.0), _coupled_n2_loop(True, -1.0), domain=BRAKE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+def test_endpoint_blend_matches_per_s_assembly(name):
+    family = _REFERENCE_FAMILIES[name]()
+    flow = spectral_flow(family, K=16)
+    assert flow == _per_s_flow(family, 16)
+    assert flow.value != 0
+    if name == "constant-n1-full-double":
+        assert flow.crossings[0][1] == 2
+
+
+def test_flow_assembles_a_fixed_number_of_matrices(monkeypatch):
+    # the K and 2K checks at each endpoint plus the two endpoint matrices
+    # of the scan, however many crossings the family has
+    real = asymptotic._assemble
+    truncations = []
+
+    def counted(op, K):
+        truncations.append(K)
+        return real(op, K)
+
+    monkeypatch.setattr(asymptotic, "_assemble", counted)
+    crossing_counts = set()
+    for domain in (FULL, BRAKE):
+        for om_b in (2.0, 7.0, 40.0):
+            truncations.clear()
+            family = blend_family(SymmetricLoop.constant(1.0 * np.eye(2)),
+                                  SymmetricLoop.constant(om_b * np.eye(2)), domain=domain)
+            crossing_counts.add(len(spectral_flow(family, K=16).crossings))
+            assert sorted(truncations) == [16, 16, 16, 16, 32, 32]
+    assert crossing_counts == {0, 1, 6}
+
+
+def test_brake_flow_rejects_non_symmetric_endpoint():
+    sym = SymmetricLoop.constant(1.0 * np.eye(2))
+    skew = SymmetricLoop.fourier(7.0 * np.eye(2), sin={1: np.eye(2)})
+    for lm, lp in ((sym, skew), (skew, sym)):
+        with pytest.raises(SymmetryViolated):
+            spectral_flow(blend_family(lm, lp, domain=BRAKE), K=16)
+        spectral_flow(blend_family(lm, lp, domain=FULL), K=16)  # fine
 
 
 def test_degenerate_endpoint_rejected():

@@ -18,6 +18,7 @@ from brakeindex.asymptotic import (
     FULL,
     AsymptoticOperator,
     SymmetricLoop,
+    blend_family,
     kernel_dimension,
 )
 from brakeindex.core import (
@@ -169,3 +170,39 @@ def test_perturbed_loops_keep_the_closed_form_indices(drawn):
     kernels = [kernel_dimension(AsymptoticOperator(loop, domain), K=16)
                for domain in (FULL, BRAKE)]
     assert kernels == [nu, nu1]
+
+
+@st.composite
+def fourier_loops(draw, n):
+    """A Fourier loop of orders up to 2 with entries in [-1, 1]; when drawn
+    non-symmetric it gets cos terms anticommuting with N0 and sin terms
+    commuting with it, which break the brake relation."""
+    symmetric = draw(st.booleans())
+    const = _even_sym(draw, n)
+    cos = {k: _even_sym(draw, n) for k in (1, 2)}
+    sin = {k: _odd_sym(draw, n) for k in (1, 2)}
+    if not symmetric:
+        const = const + _odd_sym(draw, n)
+        cos[1] = cos[1] + _odd_sym(draw, n)
+        sin[2] = sin[2] + _even_sym(draw, n)
+    return SymmetricLoop.fourier(const, cos=cos, sin=sin, tau=1.5)
+
+
+@st.composite
+def loop_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    return draw(fourier_loops(n)), draw(fourier_loops(n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(loop_pairs(), st.floats(min_value=-1.0, max_value=1.0))
+def test_brake_residual_of_a_blend_is_at_most_the_blend_of_residuals(pair, s):
+    # the residual ||N0 S(-t) N0 - S(t)|| is a seminorm of S, so brake
+    # symmetric endpoints make the whole family brake symmetric and the
+    # spectral flow checks the endpoints only
+    minus, plus = pair
+    family = blend_family(minus, plus)
+    beta = family.beta(s)
+    blend = family.operator_at(s).loop
+    bound = (1.0 - beta) * minus.brake_residual() + beta * plus.brake_residual()
+    assert blend.brake_residual() <= bound + 1e-14
