@@ -23,7 +23,6 @@ from .core import (
     loop_degree,
     pointwise_product,
     product_form,
-    project_symplectic,
     rotation_path,
     standard_symplectic,
     symplectic_residual,

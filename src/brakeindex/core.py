@@ -138,28 +138,17 @@ def product_form(n):
     return out
 
 
+def _symplectic_residuals(ms, j=None):
+    """sup-norm of M^T J M - J for every matrix of the (m, 2n, 2n) stack."""
+    ms = np.asarray(ms, dtype=float)
+    if j is None:
+        j = standard_symplectic(ms.shape[-1] // 2)
+    return np.max(np.abs(ms.transpose(0, 2, 1) @ j @ ms - j), axis=(1, 2))
+
+
 def symplectic_residual(m, j=None):
     """sup-norm of M^T J M - J."""
-    m = np.asarray(m, dtype=float)
-    if j is None:
-        j = standard_symplectic(m.shape[0] // 2)
-    return float(np.max(np.abs(m.T @ j @ m - j)))
-
-
-def project_symplectic(m, j=None):
-    """One Newton step of the polar-type retraction onto Sp(2n).
-
-    With E = J0^{-1} M^T J0 M the exact correction is M E^{-1/2}; for E
-    near the identity one Newton step gives E^{-1/2} ~ (3I - E)/2.  The
-    factor order matters: E = M^T J0 M J0^{-1} looks equivalent at the
-    fixed point but doubles the defect component that commutes with J0
-    instead of contracting it.
-    """
-    m = np.asarray(m, dtype=float)
-    if j is None:
-        j = standard_symplectic(m.shape[0] // 2)
-    e = -j @ m.T @ j @ m  # J0^{-1} = -J0
-    return m @ (3.0 * np.eye(m.shape[0]) - e) / 2.0
+    return float(_symplectic_residuals(np.asarray(m)[None], j)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,8 +260,7 @@ class SymplecticPath:
             raise ValidationError("matrices must be even-dimensional")
         tol = config.tol_symplectic
         n = values.shape[1] // 2
-        j = standard_symplectic(n)
-        res = np.max(np.abs(np.einsum("mji,jk,mkl->mil", values, j, values) - j))
+        res = np.max(_symplectic_residuals(values))
         if res > tol:
             raise SymplecticityLost(f"sample residual {res:.2e} exceeds {tol:.1e}")
         if based and np.max(np.abs(values[0] - np.eye(2 * n))) > 0:
@@ -445,49 +433,39 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
     return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
-def _rk4(rhs, y0, t0, h, steps, correct=None, stages=None):
-    """Classical RK4 for y' = rhs(t, y): ``steps`` steps of size h from t0.
+def _magnus_steps(a_left, a_mid, a_right, h):
+    """exp(Omega) of the fourth-order Magnus step of y' = A(t) y, stacked.
 
-    Returns the (steps + 1,) + y0.shape samples.  Each new sample y at
-    time t goes through ``correct(t, y)``, which returns it (possibly
-    projected) or raises, so a failure stops the loop at its step.  ``h``
-    may be an array that broadcasts against y, so stacked rows can step
-    by their own sizes.
+    ``a_left``, ``a_mid`` and ``a_right`` hold A at the start, middle and
+    end of every step and ``h`` is the step size (an array that
+    broadcasts against them gives each step its own):
 
-    ``stages``, when given, makes the flow linear, y' = A(t) y, and
-    ``rhs`` is not called: it holds four (steps, d, d) arrays, the
-    coefficient A at stage s of every step.  One RK4 step of a linear
-    flow is then the matrix (the stability polynomial of the method)
+        Omega = h/6 (A_left + 4 A_mid + A_right) + h^2/12 [A_right, A_left].
 
-        P_i = I + (h/6) (A1 + 2 K2 + 2 K3 + K4),
-        K2 = A2 (I + h/2 A1),  K3 = A3 (I + h/2 K2),  K4 = A4 (I + h K3),
-
-    so every P_i is formed in stacked products before the loop, and the
-    loop only applies them.
+    With a Hamiltonian A every exponential is exactly symplectic.
     """
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((steps + 1,) + y.shape)
-    out[0] = y
-    if stages is not None:
-        a1, a2, a3, a4 = stages
-        eye = np.eye(a1.shape[-1])
-        k2 = a2 @ (eye + h / 2 * a1)
-        k3 = a3 @ (eye + h / 2 * k2)
-        k4 = a4 @ (eye + h * k3)
-        steppers = eye + (h / 6) * (a1 + 2 * k2 + 2 * k3 + k4)
-    for i in range(steps):
-        if stages is not None:
-            y = steppers[i] @ y
-        else:
-            t = t0 + i * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + h / 2 * k1)
-            k3 = rhs(t + h / 2, y + h / 2 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if correct is not None:
-            y = correct(t0 + (i + 1) * h, y)
-        out[i + 1] = y
+    import scipy.linalg
+
+    commutator = a_right @ a_left - a_left @ a_right
+    return scipy.linalg.expm(h / 6 * (a_left + 4 * a_mid + a_right)
+                             + h * h / 12 * commutator)
+
+
+def _magnus_flow(a_left, a_mid, a_right, h):
+    """Samples of y' = A(t) y, y(t_0) = I, one fourth-order Magnus step per
+    row of the (steps, d, d) coefficients; (steps + 1, d, d).
+
+    Every step comes from one stacked ``expm``; sample k, the product of
+    the first k steps with the latest on the left, comes from a
+    Hillis-Steele prefix scan (log2(steps) stacked products).
+    """
+    out = np.empty((len(a_left) + 1,) + a_left.shape[1:])
+    out[0] = np.eye(a_left.shape[-1])
+    out[1:] = _magnus_steps(a_left, a_mid, a_right, h)
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
     return out
 
 
@@ -509,64 +487,51 @@ def _stacked(fn, ts):
 
 def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
                          config: Config = DEFAULT):
-    """Solve gamma' = J0 B(t) gamma, gamma(a) = I, by classical RK4.
+    """Solve gamma' = J0 B(t) gamma, gamma(a) = I, by fourth-order Magnus steps.
 
-    Fixed step count (config ode.steps by default) with a symplectic
-    re-projection after every step.  ``b_of_t`` returns the symmetric
-    2n x 2n coefficient at time t.  Each step must stay within
-    tol.symplectic; the returned path is validated, and remembers, ten
-    times that.  Its evaluator returns the sample at a node and one RK4
-    step from the node before at any other time, per time or over a time
-    array.
+    Fixed step count (config ode.steps by default).  ``b_of_t`` returns
+    the symmetric 2n x 2n coefficient at time t; it is evaluated in one
+    batch at the nodes and the step midpoints.  Each step is the
+    exponential of a Hamiltonian matrix, so no projection is needed.
+    The samples are checked once against tol.symplectic (a non-symmetric
+    coefficient fails there, naming the time of its first bad sample),
+    and the returned path is validated, and remembers, ten times that.
+    Its evaluator returns the sample at a node and one Magnus step from
+    the node before at any other time, per time or over a time array.
     """
     a, b = float(interval[0]), float(interval[1])
     steps = config.ode_steps if steps is None else int(steps)
     tol = config.tol_symplectic
-    n = np.asarray(b_of_t(a), dtype=float).shape[0] // 2
-    j = standard_symplectic(n)
-
-    def rhs(t, g):
-        return j @ np.asarray(b_of_t(t), dtype=float) @ g
-
-    def projected(t, g):
-        return project_symplectic(g, j)
-
-    def checked(t, g):
-        g = project_symplectic(g, j)
-        res = symplectic_residual(g, j)
-        if res > tol:
-            raise SymplecticityLost(f"residual {res:.2e} at t={t:.6g} exceeds {tol:.1e}")
-        return g
-
     h = (b - a) / steps
     times = a + np.arange(steps + 1) * h
-    # the coefficient at every stage time, formed as _rk4 forms it (t_i + h
-    # is not always bitwise t_{i + 1}); stages 2 and 3 share t_i + h / 2
-    t_i = a + np.arange(steps) * h
-    jb = j @ _stacked(b_of_t, np.concatenate([t_i, t_i + h / 2, t_i + h]))
-    mid = jb[steps : 2 * steps]
-    values = _rk4(None, np.eye(2 * n), a, h, steps, correct=checked,
-                  stages=(jb[:steps], mid, mid, jb[2 * steps :]))
-
-    def at(t):
-        t = float(t)
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), steps)
-        t0 = times[i]
-        if abs(t - t0) < 1e-15:
-            return values[i].copy()
-        if i == steps:
-            return values[-1].copy()
-        return _rk4(rhs, values[i], t0, t - t0, 1, correct=projected)[1]
+    coeff = _stacked(b_of_t, np.concatenate([times, times[:-1] + h / 2]))
+    j = standard_symplectic(coeff.shape[1] // 2)
+    jb = j @ coeff
+    nodes = jb[: steps + 1]
+    values = _magnus_flow(nodes[:-1], jb[steps + 1 :], nodes[1:], h)
+    res = _symplectic_residuals(values, j)
+    bad = np.flatnonzero(~(res <= tol))
+    if len(bad):
+        k = bad[0]
+        raise SymplecticityLost(f"residual {res[k]:.2e} at t={times[k]:.6g} exceeds {tol:.1e}")
 
     def batch(ts):
-        # the node sample wherever at(t) returns one, at(t) elsewhere
+        # the node sample at a node, one Magnus step from the node before
+        # elsewhere
         ts = np.asarray(ts, dtype=float)
         i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, steps)
         out = values[i]
-        for k in np.flatnonzero(~(np.abs(ts - times[i]) < 1e-15) & (i < steps)):
-            out[k] = at(ts[k])
+        off = np.flatnonzero(~(np.abs(ts - times[i]) < 1e-15) & (i < steps))
+        if len(off):
+            left = i[off]
+            dt = ts[off] - times[left]
+            ends = j @ _stacked(b_of_t, np.concatenate([times[left] + dt / 2, ts[off]]))
+            out[off] = _magnus_steps(nodes[left], ends[: len(off)], ends[len(off) :],
+                                     dt[:, None, None]) @ values[left]
         return out
+
+    def at(t):
+        return batch(np.array([float(t)]))[0]
 
     at.values = batch
     return SymplecticPath(times, values, based=True, evaluator=at,

@@ -12,13 +12,7 @@ import dataclasses
 import numpy as np
 
 from .config import DEFAULT, Config
-from .core import (
-    SymplecticPath,
-    _rk4,
-    brake_involution,
-    project_symplectic,
-    standard_symplectic,
-)
+from .core import SymplecticPath, _magnus_flow, brake_involution, standard_symplectic
 from .errors import (
     DegenerateOrbit,
     EnergyDrift,
@@ -257,7 +251,7 @@ def check_field_symmetry(system, samples=8, seed=7):
     return worst
 
 
-def _escape_check(t, z):
+def _escape_check(z):
     """Raise when a state, or any row of stacked states, has |z| > 1e8.
 
     A nan or inf state fails the same comparison, since its z . z is nan
@@ -266,13 +260,34 @@ def _escape_check(t, z):
     sq = z @ z if z.ndim == 1 else np.einsum("ij,ij->i", z, z).max()
     if not float(sq) <= 1e16:
         raise LeftEnergySurface("trajectory escaped to infinity")
-    return z
+
+
+def _rk4(rhs, y0, t0, h, steps):
+    """Classical RK4 for y' = rhs(t, y): ``steps`` steps of size h from t0.
+
+    Returns the (steps + 1,) + y0.shape samples.  Every new sample goes
+    through ``_escape_check``, so an escaping run stops at its step.
+    ``h`` may be an array that broadcasts against y, so stacked rows can
+    step by their own sizes.
+    """
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((steps + 1,) + y.shape)
+    out[0] = y
+    for i in range(steps):
+        t = t0 + i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        _escape_check(y)
+        out[i + 1] = y
+    return out
 
 
 def _rk4_state(system, z0, t_span, steps):
     t0, t1 = t_span
-    return _rk4(lambda t, z: system.field(z), z0, t0, (t1 - t0) / steps, steps,
-                correct=_escape_check)
+    return _rk4(lambda t, z: system.field(z), z0, t0, (t1 - t0) / steps, steps)
 
 
 def integrate_orbit(system, z0, t_span, steps=None, config: Config = DEFAULT,
@@ -381,8 +396,7 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
             raise LeftEnergySurface("period collapsed to zero while shooting")
         z0 = np.hstack([np.zeros((len(xs), n)), xs[:, :n]])
         h = (0.5 * periods / steps)[:, None]
-        states = _rk4(lambda t, z: system.fields(z), z0, 0.0, h, steps,
-                      correct=_escape_check)
+        states = _rk4(lambda t, z: system.fields(z), z0, 0.0, h, steps)
         return states[-1][:, :n]
 
     def residual(xv):
@@ -454,43 +468,30 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
     return BrakeOrbit(system, float(energy), float(period), z0, times, states)
 
 
-def _stage_coefficients(system, states, h):
-    """J0 H''(z) at the four RK4 stage states of every step, (4, steps, 2n, 2n).
-
-    The stage states are rebuilt from the samples by the stage arithmetic
-    of ``_rk4``, so they are the ones a joint state-and-frame run visits.
-    """
-    z1 = states[:-1]
-    z2 = z1 + h / 2 * system.fields(z1)
-    z3 = z1 + h / 2 * system.fields(z2)
-    z4 = z1 + h * system.fields(z3)
-    hess = system.hessians(np.concatenate([z1, z2, z3, z4]))
-    return (system._j0 @ hess).reshape((4, len(z1)) + hess.shape[1:])
-
-
 def linearized_path(orbit: BrakeOrbit, steps=None, config: Config = DEFAULT):
     """Fundamental solution of xi' = J0 H''(z(t)) xi along the orbit.
 
     The state comes from the orbit's own samples when their step count
     matches (the closing run of ``find_brake_orbit``), else from one RK4
-    run on the same grid.  The frame is integrated on that grid with the
-    Hessian at every stage state evaluated ahead in one batch, and is
-    reprojected to the symplectic group after each step.
+    run on the same grid.  The state at each step's midpoint is the
+    cubic Hermite fit (z_i + z_{i+1}) / 2 + h/8 (f_i - f_{i+1}) of the
+    samples and their fields f; all fields come in one batch and all
+    Hessians in another, and the frame takes one exactly symplectic
+    fourth-order Magnus step per step.
     """
     system = orbit.system
-    n = system.n
     steps = config.ode_steps if steps is None else int(steps)
     if steps % 2:
         steps += 1
-    j0 = system._j0
     h = orbit.period / steps
     if len(orbit.states) == steps + 1:
         states = orbit.states
     else:
         states = _rk4_state(system, orbit.start, (0.0, orbit.period), steps)
-    frames = _rk4(None, np.eye(2 * n), 0.0, h, steps,
-                  correct=lambda t, y: project_symplectic(y, j0),
-                  stages=_stage_coefficients(system, states, h))
+    f = system.fields(states)
+    mids = (states[:-1] + states[1:]) / 2 + h / 8 * (f[:-1] - f[1:])
+    coeff = system._j0 @ system.hessians(np.concatenate([states, mids]))
+    frames = _magnus_flow(coeff[:steps], coeff[steps + 1 :], coeff[1 : steps + 1], h)
     times = np.linspace(0.0, orbit.period, steps + 1)
     return SymplecticPath(times, frames, based=True, config=config)
 

@@ -23,6 +23,7 @@ from brakeindex.asymptotic import (
 )
 from brakeindex.core import (
     HalfInt,
+    _symplectic_residuals,
     diagonal_unitary_loop,
     fundamental_solution,
     lagrangian_l1,
@@ -206,3 +207,20 @@ def test_brake_residual_of_a_blend_is_at_most_the_blend_of_residuals(pair, s):
     blend = family.operator_at(s).loop
     bound = (1.0 - beta) * minus.brake_residual() + beta * plus.brake_residual()
     assert blend.brake_residual() <= bound + 1e-14
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=1, max_value=2).flatmap(fourier_loops),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=255),
+                          st.floats(min_value=0.01, max_value=0.99)),
+                min_size=1, max_size=6))
+def test_magnus_samples_stay_symplectic_without_projection(loop, offsets):
+    # every step is the exponential of a Hamiltonian matrix, so the
+    # samples keep M^T J0 M = J0 to rounding with no projection; off the
+    # nodes the batch evaluator gives what a call per time gives
+    path = fundamental_solution(loop, (0.0, 1.0), steps=256)
+    assert np.max(_symplectic_residuals(path.values)) <= 1e-12
+    times = path.times
+    ts = np.array([times[k] + frac * (times[k + 1] - times[k]) for k, frac in offsets])
+    want = np.stack([path.value_at(t) for t in ts])
+    assert np.array_equal(path.values_at(ts), want)
