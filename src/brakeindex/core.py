@@ -433,6 +433,73 @@ def hyperbolic_path(lam, interval=(0.0, 1.0), samples=257,
     return SymplecticPath(times, values, based=based, evaluator=at, config=config)
 
 
+# Degrees of the diagonal Pade approximants of exp and, for each, the largest
+# 1-norm at which it is accurate to double precision (Higham, "The scaling and
+# squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
+# Appl. 26 (2005), Table 2.3); above the last, a matrix is scaled by 2^-s
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE_THETAS = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                         9.504178996162932e-1, 2.097847961257068e0,
+                         5.371920351148152e0])
+# b_0..b_m of each approximant's numerator p_m(x); its denominator is p_m(-x)
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def _pade(x, m):
+    """exp(x) - I by the degree-m diagonal Pade approximant, at every
+    matrix of the (k, d, d) stack ``x``: (V - U)^-1 (V + U) - I, formed as
+    (V - U)^-1 2U, U odd and V even in x.  Kept apart from I, the small
+    part of a small step is rounded only when I is added."""
+    b = _PADE_COEFFS[m]
+    # the even powers x^0, x^2, ..., x^(m - 1)
+    powers = [np.eye(x.shape[-1]), x @ x]
+    while len(powers) < (m + 1) // 2:
+        powers.append(powers[-1] @ powers[1])
+    u = x @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, 2 * u)
+
+
+def _expm(x):
+    """exp of every matrix of the (k, d, d) stack ``x``, by scaling and
+    squaring with diagonal Pade approximants (Higham 2005).
+
+    Each matrix's degree and scaling 2^-s come from its own 1-norm, and the
+    stack is evaluated in groups of equal (degree, s), so a matrix gives the
+    same bits alone as in any batch.  A matrix with a non-finite entry, or
+    whose squarings overflow, comes back all nan, and no warning is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.abs(x).sum(axis=1).max(axis=1)
+    finite = np.flatnonzero(np.isfinite(norms))
+    band = np.searchsorted(_PADE_THETAS, norms[finite])
+    over = band == len(_PADE_THETAS)
+    degree = np.take(_PADE_DEGREES, np.where(over, len(_PADE_THETAS) - 1, band))
+    shift = np.zeros(len(finite), dtype=int)
+    shift[over] = np.ceil(np.log2(norms[finite[over]] / _PADE_THETAS[-1]))
+    out = np.full(x.shape, np.nan)
+    for m, s in set(zip(degree.tolist(), shift.tolist())):
+        rows = finite[(degree == m) & (shift == s)]
+        e = _pade(np.ldexp(x[rows], -s), m)
+        if s:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(s):
+                    e = e @ e + 2 * e  # (I + E)^2 = I + 2E + E^2
+            e[~np.isfinite(e).all(axis=(1, 2))] = np.nan
+        out[rows] = np.eye(x.shape[-1]) + e
+    return out
+
+
 def _magnus_steps(a_left, a_mid, a_right, h):
     """exp(Omega) of the fourth-order Magnus step of y' = A(t) y, stacked.
 
@@ -442,22 +509,27 @@ def _magnus_steps(a_left, a_mid, a_right, h):
 
         Omega = h/6 (A_left + 4 A_mid + A_right) + h^2/12 [A_right, A_left].
 
-    With a Hamiltonian A every exponential is exactly symplectic.
+    Every exponential comes from ``_expm``, in numpy, so a step's bits do
+    not depend on the other steps of the batch.  With a Hamiltonian A
+    every exponential is exactly symplectic, since a diagonal Pade
+    approximant r has r(x) r(-x) = 1.  A step with a non-finite or
+    overflowing Omega is all nan, without a warning, so it fails the
+    caller's symplecticity check at its own time.
     """
-    import scipy.linalg
-
-    commutator = a_right @ a_left - a_left @ a_right
-    return scipy.linalg.expm(h / 6 * (a_left + 4 * a_mid + a_right)
-                             + h * h / 12 * commutator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = a_right @ a_left - a_left @ a_right
+        omega = h / 6 * (a_left + 4 * a_mid + a_right) + h * h / 12 * commutator
+    return _expm(omega)
 
 
 def _magnus_flow(a_left, a_mid, a_right, h):
     """Samples of y' = A(t) y, y(t_0) = I, one fourth-order Magnus step per
     row of the (steps, d, d) coefficients; (steps + 1, d, d).
 
-    Every step comes from one stacked ``expm``; sample k, the product of
-    the first k steps with the latest on the left, comes from a
-    Hillis-Steele prefix scan (log2(steps) stacked products).
+    Every step comes from one stacked Pade exponential (``_expm``);
+    sample k, the product of the first k steps with the latest on the
+    left, comes from a Hillis-Steele prefix scan (log2(steps) stacked
+    products).
     """
     out = np.empty((len(a_left) + 1,) + a_left.shape[1:])
     out[0] = np.eye(a_left.shape[-1])
@@ -506,7 +578,10 @@ def fundamental_solution(b_of_t, interval=(0.0, 1.0), steps=None,
     times = a + np.arange(steps + 1) * h
     coeff = _stacked(b_of_t, np.concatenate([times, times[:-1] + h / 2]))
     j = standard_symplectic(coeff.shape[1] // 2)
-    jb = j @ coeff
+    # an infinite entry meets the zeros of J0 here; the nan it leaves
+    # fails the check below
+    with np.errstate(invalid="ignore"):
+        jb = j @ coeff
     nodes = jb[: steps + 1]
     values = _magnus_flow(nodes[:-1], jb[steps + 1 :], nodes[1:], h)
     res = _symplectic_residuals(values, j)

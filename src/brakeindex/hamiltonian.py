@@ -370,10 +370,14 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
 
     The energy constraint is enforced by rescaling q radially onto the
     level after every update, so Gauss-Newton only sees the n momentum
-    equations in the n+1 unknowns (q, T).  The n+1 finite-difference
-    points of its Jacobian are all rescaled first and then shot as the
-    rows of one run.  Raises SymmetryViolated for a non brake symmetric
-    field, NoConvergence when the residual stalls, LeftEnergySurface when
+    equations in the n+1 unknowns (q, T).  Each point is shot together
+    with the n+1 rescaled finite-difference points of its Jacobian, as
+    the n+2 rows of one run, so a step the line search accepts comes with
+    its Jacobian.  When that run cannot be made (a point leaves the level
+    or escapes), the point is shot alone and its Jacobian is built at the
+    next iteration, so every error is raised where a separate run would
+    raise it.  Raises SymmetryViolated for a non brake symmetric field,
+    NoConvergence when the residual stalls, LeftEnergySurface when
     trajectories escape.
     """
     sym = check_field_symmetry(system)
@@ -399,40 +403,52 @@ def find_brake_orbit(system, energy, q_guess, period_guess, config: Config = DEF
         states = _rk4(lambda t, z: system.fields(z), z0, 0.0, h, steps)
         return states[-1][:, :n]
 
-    def residual(xv):
-        return residuals(xv[None])[0]
-
     def renormalized(xv):
         return np.concatenate([_rescale_to_energy(system, xv[:n], energy),
                                [xv[n]]])
 
-    r = residual(x)
+    def jacobian_points(xv):
+        # row j moves xv[j] alone, then goes back onto the level
+        dx = 1e-6 * (1.0 + np.abs(xv))
+        return np.array([renormalized(xe) for xe in xv + np.diag(dx)]), dx
+
+    def shoot(xv):
+        # the residual at xv and its finite-difference Jacobian, from one
+        # run of xv and its n + 1 points; when that run cannot be made, xv
+        # alone, raising where it fails, and no Jacobian
+        try:
+            points, dx = jacobian_points(xv)
+            rs = residuals(np.vstack([xv[None], points]))
+        except (LeftEnergySurface, RadialDegeneracy):
+            return residuals(xv[None])[0], None
+        return rs[0], (rs[1:] - rs[0]).T / dx
+
+    r, jac = shoot(x)
     scale = max(1.0, float(np.linalg.norm(x[:n])))
     converged = False
     for _ in range(config.shooting_max_iter):
         if np.max(np.abs(r)) < tol * scale:
             converged = True
             break
-        # column j moves x[j] alone; all n + 1 points shoot in one run
-        dx = 1e-6 * (1.0 + np.abs(x))
-        points = np.array([renormalized(xe) for xe in x + np.diag(dx)])
-        jac = (residuals(points) - r).T / dx
+        if jac is None:
+            points, dx = jacobian_points(x)
+            jac = (residuals(points) - r).T / dx
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam, best = 1.0, None
         for _ in range(8):
             try:
                 cand_x = renormalized(x + lam * step)
-                cand_r = residual(cand_x)
+                cand_r, cand_jac = shoot(cand_x)
             except (LeftEnergySurface, RadialDegeneracy):
                 lam *= 0.5
                 continue
             if np.linalg.norm(cand_r) < np.linalg.norm(r) or lam < 1e-2:
-                best = (cand_x, cand_r)
+                best = (cand_x, cand_r, cand_jac)
                 break
             lam *= 0.5
         if best is None:
             raise NoConvergence("shooting step failed to reduce the residual")
-        x, r = best
+        x, r, jac = best
     if not converged and np.max(np.abs(r)) >= tol * scale:
         raise NoConvergence(
             f"no brake orbit after {config.shooting_max_iter} iterations "

@@ -31,7 +31,10 @@ from brakeindex.core import (
     product_form,
     rotation_path,
     standard_symplectic,
+    _PADE_THETAS,
+    _expm,
     _interpolate,
+    _symplectic_residuals,
 )
 from brakeindex.errors import (
     PhaseJumpTooLarge,
@@ -454,11 +457,83 @@ def test_fundamental_solution_values_equal_stacked_calls(interval):
 
 
 def test_import_leaves_scipy_linalg_and_optimize_unloaded():
-    # both are imported where they are used, so a CLI start-up skips them
-    code = ("import sys, brakeindex.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    # both are imported where they are used, so a CLI start-up skips them;
+    # the linear flows exponentiate in numpy, so they skip scipy.linalg too
+    code = ("import sys, brakeindex.cli\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))\n"
+            "import numpy as np\n"
+            "from brakeindex import core, hamiltonian as ham\n"
+            "core.fundamental_solution(lambda t: np.diag([1.0 + t, 2.0]), steps=64)\n"
+            "orbit = ham.find_brake_orbit(ham.harmonic_system(1), 0.5, np.array([1.0]), 6.2,\n"
+            "                             steps=256)\n"
+            "ham.linearized_path(orbit)\n"
+            "print('scipy.linalg' in sys.modules)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
+
+
+def _hamiltonian_stack(rng, n, norms):
+    """Random Hamiltonian matrices J0 S, one per 1-norm of ``norms``."""
+    s = rng.standard_normal((len(norms), 2 * n, 2 * n))
+    a = standard_symplectic(n) @ (s + s.transpose(0, 2, 1))
+    return a * (np.asarray(norms) / _norm1(a))[:, None, None]
+
+
+def _norm1(ms):
+    return np.abs(ms).sum(axis=-2).max(axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_expm_matches_scipy_in_every_pade_band(n):
+    # 1-norms just below and just above each degree's threshold, then deep
+    # in the scaling branch.  Above norm 2.1 the gap is mostly scipy's own
+    # error: against 40-digit mpmath at norm 5.37 (n = 1), this exponential
+    # was off by 3.2e-15 and scipy's by 7.8e-13 (measured gaps: up to
+    # 6.8e-16 below norm 2.1, 7.6e-13 near 5.37, 9.9e-12 at 200)
+    rng = np.random.default_rng(40 + n)
+    j = standard_symplectic(n)
+    norms = np.concatenate([[1e-3], _PADE_THETAS * (1 - 1e-9), _PADE_THETAS * (1 + 1e-9),
+                            [20.0, 200.0]])
+    for norm in norms:
+        a = _hamiltonian_stack(rng, n, np.full(16, norm))
+        got = _expm(a)
+        want = scipy.linalg.expm(a)
+        bound = 2e-15 if norm <= _PADE_THETAS[3] else 1e-12 * norm
+        assert np.max(_norm1(got - want) / _norm1(want)) <= bound
+        # no projection: the diagonal Pade approximant of a Hamiltonian
+        # matrix is symplectic up to roundoff (measured up to 1.6e-14)
+        assert np.max(_symplectic_residuals(got, j) / _norm1(got) ** 2) <= 1e-13
+
+
+def test_stacked_expm_gives_a_matrix_the_same_bits_alone_and_in_any_batch():
+    # every degree, unscaled and scaled, the zero matrix and a non-finite
+    # one, shuffled into one batch
+    rng = np.random.default_rng(11)
+    norms = np.concatenate([_PADE_THETAS * 0.9, _PADE_THETAS * 1.1, [0.0, 1e-3, 20.0, 200.0]])
+    batch = _hamiltonian_stack(rng, 2, rng.permutation(norms))
+    batch[2, 0, 1] = math.nan
+    got = _expm(batch)
+    for k, a in enumerate(batch):
+        assert np.array_equal(_expm(a[None])[0], got[k], equal_nan=True)
+    assert np.array_equal(_expm(np.zeros((1, 4, 4)))[0], np.eye(4))
+    assert np.all(np.isnan(got[2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_non_finite_coefficient_fails_the_check_at_its_first_sample(bad):
+    # from t = 0.55 on one entry is bad, so the step from 35/64, whose
+    # midpoint is past 0.55, is the first bad one; no warning on the way
+    def coeff(t):
+        b = np.diag([1.0 + t, 2.0 - t])
+        if t >= 0.55:
+            b[0, 0] = bad
+        return b
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SymplecticityLost) as err:
+            fundamental_solution(coeff, steps=64)
+    assert str(err.value) == "residual nan at t=0.5625 exceeds 1.0e-09"

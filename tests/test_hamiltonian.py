@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from brakeindex import hamiltonian
+from brakeindex.config import DEFAULT
 from brakeindex.core import HalfInt, _magnus_steps, check_brake_symmetry, fundamental_solution
 from brakeindex.errors import (
     DegenerateOrbit,
@@ -319,6 +321,30 @@ def test_stacked_rows_step_like_separate_runs(closed_orbit):
     got = _rk4(lambda t, z: system.fields(z), z0, 0.0, (halves / steps)[:, None], steps)
     for row, (z, half) in enumerate(zip(z0, halves)):
         assert np.array_equal(got[:, row], _rk4_state(system, z, (0.0, half), steps))
+
+
+def test_shooting_runs_each_point_with_its_jacobian(closed_orbit, monkeypatch):
+    # one run of n + 2 rows per point (the point and its n + 1 Jacobian
+    # points): the start and every accepted step, then the closing run
+    system = closed_orbit.system
+    n = system.n
+    runs, solves = [], []
+    real_rk4, real_lstsq = hamiltonian._rk4, np.linalg.lstsq
+
+    def counted_rk4(rhs, y0, t0, h, steps):
+        runs.append((np.shape(y0), steps))
+        return real_rk4(rhs, y0, t0, h, steps)
+
+    def counted_lstsq(*args, **kwargs):
+        solves.append(None)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "_rk4", counted_rk4)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    q_guess = 1.03 * closed_orbit.start[n:] + 0.01
+    find_brake_orbit(system, 0.5, q_guess, 0.98 * closed_orbit.period, steps=256)
+    assert len(solves) >= 2
+    assert runs == [((n + 2, 2 * n), 256)] * (1 + len(solves)) + [((2 * n,), DEFAULT.ode_steps)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.01e8], ids=["nan", "inf", "far"])
