@@ -35,6 +35,7 @@ from .errors import (
     DegenerateOrbit,
     EndpointDegenerate,
     EnergyDrift,
+    GalerkinUnresolved,
     IrregularCrossing,
     LeftEnergySurface,
     NoConvergence,

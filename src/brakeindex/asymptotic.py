@@ -30,7 +30,9 @@ from .core import (
     standard_symplectic,
 )
 from .errors import (
+    CrossingUnresolved,
     EndpointDegenerate,
+    GalerkinUnresolved,
     SymmetryViolated,
     TruncationUnstable,
     ValidationError,
@@ -48,6 +50,11 @@ _STABILITY_TOL = 1e-3
 # a multiple jump is recorded as one crossing
 _S_SAMPLES = 64
 _REFINE_FLOOR = 1e-10
+# pencil roots that decide which brackets are eigensolved: a root counts
+# when |Im lambda| <= _ROOT_IMAG_TOL |lambda|, and it is sought in each
+# bracket's beta-interval widened by _ROOT_PAD on both sides
+_ROOT_IMAG_TOL = 1e-6
+_ROOT_PAD = 1e-9
 
 
 class SymmetricLoop:
@@ -60,6 +67,8 @@ class SymmetricLoop:
         probe = np.asarray(fn(0.37 * self.tau), dtype=float)
         if probe.shape != (2 * self.n, 2 * self.n):
             raise ValidationError(f"loop values must be {2 * self.n} square")
+        if not np.isfinite(probe).all():
+            raise ValidationError("loop values must be finite")
         if np.max(np.abs(probe - probe.T)) > 1e-10:
             raise ValidationError("loop values must be symmetric matrices")
         # batch(ts) for times reduced mod tau, when the loop has one
@@ -199,7 +208,10 @@ class Discretization:
 
 def _galerkin(op: AsymptoticOperator, K):
     """Galerkin matrix of op at truncation K, on op's domain."""
-    a = _assemble(op, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _assemble(op, K)
+    if not np.isfinite(a).all():
+        raise GalerkinUnresolved(f"Galerkin matrix at K={K} overflows")
     return _brake_block(a, K, op.loop.n) if op.domain == BRAKE else a
 
 
@@ -210,12 +222,19 @@ def discretize(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
 
     Every eigenvalue of the 2K problem inside the stability window must
     be matched by a K eigenvalue within the stability tolerance, else the
-    truncation is declared unstable.
+    truncation is declared unstable.  The match cannot be decided when
+    the eigensolver's rounding bound, size x eps x the largest |eigenvalue|,
+    exceeds that tolerance.
     """
     K = config.fourier_K if K is None else int(K)
     a = _galerkin(op, K)
     eigs = np.linalg.eigvalsh(a)
     eigs2 = np.linalg.eigvalsh(_galerkin(op, 2 * K))
+    rounding = eigs2.size * np.finfo(float).eps * max(-eigs2[0], eigs2[-1])
+    if rounding > _STABILITY_TOL:
+        raise GalerkinUnresolved(
+            f"rounding bound {rounding:.2e} of the 2K={2 * K} spectrum exceeds "
+            f"the stability tolerance {_STABILITY_TOL:g}")
     near = eigs2[np.abs(eigs2) < _STABILITY_WINDOW]
     for lam in near:
         if np.min(np.abs(eigs - lam)) > _STABILITY_TOL:
@@ -231,9 +250,9 @@ def _zero_threshold(eigs2, zero_tol):
     return min(zero_tol, gap / 10.0)
 
 
-def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
-    """Dimension of the numerical kernel under tol.zero_eig, stable
-    between K and 2K."""
+def _checked_kernel(op: AsymptoticOperator, K, config: Config):
+    """The kernel dimension of ``kernel_dimension`` and the K
+    discretization it was read from."""
     disc, eigs2 = discretize(op, K, config=config)
     thr = _zero_threshold(eigs2, config.tol_zero_eig)
     count = int(np.sum(np.abs(disc.eigenvalues) < thr))
@@ -242,7 +261,13 @@ def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT
         raise TruncationUnstable(
             f"kernel count changed between K ({count}) and 2K ({count2})"
         )
-    return count
+    return count, disc
+
+
+def kernel_dimension(op: AsymptoticOperator, K=None, *, config: Config = DEFAULT):
+    """Dimension of the numerical kernel under tol.zero_eig, stable
+    between K and 2K."""
+    return _checked_kernel(op, K, config)[0]
 
 
 def smoothstep(x):
@@ -292,6 +317,24 @@ class FlowReport:
     crossings: tuple  # (s, sign) pairs, sign +1 for positive-to-negative
 
 
+def _pencil_roots(a_minus, a_plus):
+    """Sorted candidate roots beta in [-_ROOT_PAD, 1 + _ROOT_PAD] of
+    det(A- + beta D) = 0, D = A+ - A-, for a nonsingular A-.
+
+    They are beta = -1/lambda over the eigenvalues lambda of A-^{-1} D
+    that are real to _ROOT_IMAG_TOL; a rounding-split pair of a multiple
+    root gives two candidates near the same beta.
+    """
+    try:
+        lam = np.linalg.eigvals(np.linalg.solve(a_minus, a_plus - a_minus))
+    except np.linalg.LinAlgError as exc:
+        raise EndpointDegenerate("Galerkin matrix at the family start is singular") from exc
+    lam = lam[np.abs(lam.imag) <= _ROOT_IMAG_TOL * np.abs(lam)].real
+    # beta <= 1 + pad for lambda < 0, beta >= -pad for lambda > 0
+    lam = lam[(lam <= -1.0 / (1.0 + _ROOT_PAD)) | (lam >= 1.0 / _ROOT_PAD)]
+    return np.sort(-1.0 / lam)
+
+
 def spectral_flow(family: OperatorFamily, K=None, *, config: Config = DEFAULT):
     """Signed count of eigenvalue crossings through zero along the family.
 
@@ -303,31 +346,45 @@ def spectral_flow(family: OperatorFamily, K=None, *, config: Config = DEFAULT):
     under tol.zero_eig, and brake-symmetric on the brake domain.
 
     The Galerkin matrix is linear in the coefficient loop, so each
-    scanned s blends the two endpoint matrices; the brake residual is a
-    seminorm, so symmetric endpoints make every blend symmetric.
+    scanned s blends the two endpoint matrices that the endpoint checks
+    built; the brake residual is a seminorm, so symmetric endpoints make
+    every blend symmetric.  With beta = beta(s) the blend is A- + beta D,
+    D = A+ - A-, and A- is nonsingular, so the negative count can change
+    only at a real root beta of det(A- + beta D) = 0.  Those roots come
+    from one eigensolve of the pencil, and only brackets whose
+    beta-interval (padded) holds one are eigensolved: a bracket without
+    one keeps its count, and a bisection midpoint next to a half without
+    one takes the count of that half's outer end.  Every other count is
+    a symmetric eigensolve of the blend.  The jumps found must add up to
+    the endpoint difference, else a root was missed and
+    ``CrossingUnresolved`` is raised.
     """
     K = config.fourier_K if K is None else int(K)
 
-    ends = []
+    ends, counts = [], {}
     for s_end in (family.s_min, family.s_max):
-        op = family.operator_at(s_end)
-        if kernel_dimension(op, K=K, config=config) > 0:
+        kernel, disc = _checked_kernel(family.operator_at(s_end), K, config)
+        if kernel > 0:
             raise EndpointDegenerate(f"family endpoint s={s_end} is degenerate")
-        ends.append(_galerkin(op, K))
+        ends.append(disc.matrix)
+        counts[s_end] = int(np.sum(disc.eigenvalues < 0.0))
     a_minus, a_plus = ends
+    roots = _pencil_roots(a_minus, a_plus)
 
-    cache = {}
+    def holds_root(sl, sr):
+        i = np.searchsorted(roots, family.beta(sl) - _ROOT_PAD)
+        return i < roots.size and roots[i] <= family.beta(sr) + _ROOT_PAD
 
     def neg_count(s):
-        if s not in cache:
+        if s not in counts:
             beta = family.beta(s)
             a = (1.0 - beta) * a_minus + beta * a_plus
-            cache[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
-        return cache[s]
+            counts[s] = int(np.sum(np.linalg.eigvalsh(a) < 0.0))
+        return counts[s]
 
     grid = list(np.linspace(family.s_min, family.s_max, _S_SAMPLES))
     crossings = []
-    stack = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)]
+    stack = [(sl, sr) for sl, sr in zip(grid[:-1], grid[1:]) if holds_root(sl, sr)]
     while stack:
         sl, sr = stack.pop()
         jump = neg_count(sr) - neg_count(sl)
@@ -337,10 +394,19 @@ def spectral_flow(family: OperatorFamily, K=None, *, config: Config = DEFAULT):
             crossings.append(((sl + sr) / 2.0, jump))
             continue
         sm = (sl + sr) / 2.0
+        if not holds_root(sl, sm):
+            counts[sm] = neg_count(sl)
+        elif not holds_root(sm, sr):
+            counts[sm] = neg_count(sr)
         stack.append((sl, sm))
         stack.append((sm, sr))
     crossings.sort(key=lambda c: c[0])
-    total = neg_count(family.s_max) - neg_count(family.s_min)
+    total = counts[family.s_max] - counts[family.s_min]
+    found = sum(jump for _, jump in crossings)
+    if found != total:
+        raise CrossingUnresolved(
+            f"crossings found sum to {found} where the endpoint negative "
+            f"counts differ by {total}; a pencil root was missed")
     return FlowReport(total, tuple(crossings))
 
 

@@ -333,7 +333,14 @@ def _canonical(document):
 
 
 def _sha256(document):
-    return hashlib.sha256(_canonical(document).encode("utf-8")).hexdigest()
+    try:
+        text = _canonical(document)
+    except ValueError as exc:
+        # NaN, Infinity, or a literal such as 1e400 that parses to inf
+        raise ValidationError(
+            f"input holds a non-finite number, which JSON does not allow ({exc})"
+        ) from exc
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _half(value: HalfInt):
@@ -595,7 +602,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     command = args.command
 
-    def fail(code, exc, document, violations=None):
+    def fail(code, exc, violations=None):
         error = {"type": type(exc).__name__, "message": str(exc)}
         if violations:
             error["violations"] = violations
@@ -604,17 +611,17 @@ def main(argv=None):
             "version": __version__,
             "command": command,
             "config": cfg.as_dict() if cfg is not None else None,
-            "input_sha256": _sha256(document) if document is not None else None,
+            "input_sha256": digest,
             "error": error,
         }, args.out)
         return code
 
     cfg = None
-    document = None
+    digest = None
     try:
         cfg = load_config(args.config)
     except (ValidationError, OSError) as exc:
-        return fail(2, exc, None)
+        return fail(2, exc)
 
     try:
         if command == "cap-oracle":
@@ -627,27 +634,27 @@ def main(argv=None):
                 document["criteria"] = [int(v) for v in args.criteria.split(",")]
         else:
             document = _load_document(args.input)
+        digest = _sha256(document)
     except (ValidationError, OSError, ValueError) as exc:
-        return fail(2, exc, None)
+        return fail(2, exc)
 
     violations = validate(command, document)
     if violations:
-        return fail(2, ValidationError("input document is invalid"),
-                    document, violations)
+        return fail(2, ValidationError("input document is invalid"), violations)
 
     try:
         report = _HANDLERS[command](document, cfg)
     except ValidationError as exc:
-        return fail(2, exc, document)
+        return fail(2, exc)
     except NumericalError as exc:
-        return fail(3, exc, document)
+        return fail(3, exc)
 
     _emit({
         "tool": "brakeindex",
         "version": __version__,
         "command": command,
         "config": cfg.as_dict(),
-        "input_sha256": _sha256(document),
+        "input_sha256": digest,
         "report": report,
     }, args.out)
     if command == "selfcheck" and not report["passed"]:

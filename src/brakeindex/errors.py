@@ -47,13 +47,19 @@ class TruncationUnstable(NumericalError):
     """Near-zero spectrum not stable between truncation orders K and 2K."""
 
 
+class GalerkinUnresolved(NumericalError):
+    """A Galerkin matrix overflowed, or is so large that rounding alone
+    exceeds the K-vs-2K stability tolerance."""
+
+
 class CrossingUnresolved(NumericalError):
     """Crossings could not be resolved into a checked count.
 
     In the pair index: the located crossings, all regular, do not sum to
     the eigenphase winding (the message names both), or the winding is
-    not a half-integer.  In the spectral flow: an eigenvalue crossing of
-    too high a multiplicity could not be isolated by grid refinement.
+    not a half-integer.  In the spectral flow: the crossings found do not
+    sum to the difference of the endpoint negative counts, because a
+    root of the endpoint pencil was missed.
     """
 
 

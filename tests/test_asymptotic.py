@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brakeindex import asymptotic
 from brakeindex.asymptotic import (
@@ -22,7 +24,9 @@ from brakeindex.asymptotic import (
 from brakeindex.config import Config
 from brakeindex.core import HalfInt, rotation_path
 from brakeindex.errors import (
+    CrossingUnresolved,
     EndpointDegenerate,
+    GalerkinUnresolved,
     SymmetryViolated,
     TruncationUnstable,
     ValidationError,
@@ -294,8 +298,8 @@ def test_endpoint_blend_matches_per_s_assembly(name):
 
 
 def test_flow_assembles_a_fixed_number_of_matrices(monkeypatch):
-    # the K and 2K checks at each endpoint plus the two endpoint matrices
-    # of the scan, however many crossings the family has
+    # the K and 2K checks at each endpoint, whose K matrices the scan
+    # blends, however many crossings the family has
     real = asymptotic._assemble
     truncations = []
 
@@ -311,8 +315,123 @@ def test_flow_assembles_a_fixed_number_of_matrices(monkeypatch):
             family = blend_family(SymmetricLoop.constant(1.0 * np.eye(2)),
                                   SymmetricLoop.constant(om_b * np.eye(2)), domain=domain)
             crossing_counts.add(len(spectral_flow(family, K=16).crossings))
-            assert sorted(truncations) == [16, 16, 16, 16, 32, 32]
+            assert sorted(truncations) == [16, 16, 32, 32]
     assert crossing_counts == {0, 1, 6}
+
+
+# entries on a 1e-3 grid in [-1, 1]
+_unit = st.integers(min_value=-1000, max_value=1000).map(lambda k: k / 1000)
+
+
+def _drawn_block(draw, n):
+    return np.array(draw(st.lists(_unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+@st.composite
+def _weyl_loops(draw, n):
+    """(loop, turns): diag(w, w) + P(t), w_i = 2 pi turns_i a margin off
+    the integers, with a cos term commuting with N0 = diag(-I, I) and a
+    sin term anticommuting with it, so the loop is brake-symmetric.  The
+    sum of their norms, a bound on sup |P|, is below the distance of
+    every w_i from 2 pi Z, so by Weyl's inequality the negative counts
+    are those of diag(w, w)."""
+    turns = [draw(st.integers(min_value=-1, max_value=2))
+             + draw(st.floats(min_value=0.1, max_value=0.9)) for _ in range(n)]
+    z = np.zeros((n, n))
+    cos1 = np.block([[_drawn_block(draw, n), z], [z, _drawn_block(draw, n)]])
+    cos1 = 0.5 * (cos1 + cos1.T)
+    c = _drawn_block(draw, n)
+    sin1 = np.block([[z, c], [c.T, z]])
+    total = np.linalg.norm(cos1, 2) + np.linalg.norm(sin1, 2)
+    gap = TWO_PI * min(abs(t - round(t)) for t in turns)
+    scale = draw(st.floats(min_value=0.2, max_value=0.6)) * gap / total if total else 0.0
+    w = [TWO_PI * t for t in turns]
+    loop = SymmetricLoop.fourier(np.diag(w + w), cos={1: scale * cos1},
+                                 sin={1: scale * sin1})
+    return loop, turns
+
+
+@st.composite
+def _weyl_families(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    (minus, t_minus), (plus, t_plus) = draw(_weyl_loops(n)), draw(_weyl_loops(n))
+    if draw(st.booleans()):
+        (minus, t_minus), (plus, t_plus) = (plus, t_plus), (minus, t_minus)
+    domain = draw(st.sampled_from([FULL, BRAKE]))
+    per_plane = 2 if domain == FULL else 1
+    want = per_plane * sum(math.floor(b) - math.floor(a) for a, b in zip(t_minus, t_plus))
+    return blend_family(minus, plus, domain=domain), want
+
+
+@settings(deadline=None, max_examples=25)
+@given(_weyl_families())
+def test_pencil_scan_equals_per_s_assembly(drawn):
+    # skipping the brackets without a pencil root changes no report: the
+    # flow and every (s, jump) are those of the route that assembles and
+    # eigensolves the blended operator at every scanned s
+    family, want = drawn
+    flow = spectral_flow(family, K=6)
+    assert flow == _per_s_flow(family, 6)
+    assert flow.value == want
+
+
+def _counted_eigvalsh(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(asymptotic.np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_scan_eigensolves_only_brackets_holding_a_root(monkeypatch):
+    # four eigensolves are the endpoint K and 2K checks; the rest are the
+    # scan's: none without a crossing, two for one simple crossing, and a
+    # few more for the double one that bisects to the floor
+    calls = _counted_eigvalsh(monkeypatch)
+    lm = SymmetricLoop.constant(1.0 * np.eye(2))
+    for om_b, domain, flow, most in ((2.0, FULL, 0, 0), (2.0, BRAKE, 0, 0),
+                                     (7.0, BRAKE, 1, 2), (7.0, FULL, 2, 12)):
+        calls.clear()
+        family = blend_family(lm, SymmetricLoop.constant(om_b * np.eye(2)), domain=domain)
+        assert spectral_flow(family, K=16).value == flow
+        assert len(calls) - 4 <= most
+
+
+def test_identical_endpoints_have_no_flow(monkeypatch):
+    calls = _counted_eigvalsh(monkeypatch)
+    loop = _n1_fourier(0.0)
+    for domain in (FULL, BRAKE):
+        assert spectral_flow(blend_family(loop, loop, domain=domain), K=16) == FlowReport(0, ())
+    assert len(calls) == 8
+
+
+def test_missed_pencil_root_raises(monkeypatch):
+    family = _REFERENCE_FAMILIES["constant-n1-brake"]()
+    real = asymptotic._pencil_roots
+    assert real(*(asymptotic._galerkin(family.operator_at(s), 16)
+                  for s in (family.s_min, family.s_max))).size == 1
+    monkeypatch.setattr(asymptotic, "_pencil_roots", lambda a_minus, a_plus: np.array([]))
+    with pytest.raises(CrossingUnresolved):
+        spectral_flow(family, K=16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_or_overflowing_coefficients_raise_typed_errors():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            SymmetricLoop.constant(np.diag([bad, 1.0]))
+        with pytest.raises(ValidationError):
+            SymmetricLoop.fourier(np.eye(2), cos={1: np.diag([bad, 0.0])})
+    # the Galerkin matrix of 1e308 overflows; that of 1e200 is finite, but
+    # rounding alone dwarfs the K-vs-2K stability tolerance
+    for big in (1e308, 1e200):
+        op = AsymptoticOperator(SymmetricLoop.constant(np.diag([big, 1.0])), FULL)
+        with pytest.raises(GalerkinUnresolved):
+            discretize(op, 8)
 
 
 def test_brake_flow_rejects_non_symmetric_endpoint():

@@ -172,6 +172,24 @@ def test_spectral_flow_command(tmp_path, capsys):
     assert env["report"]["flow"] == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value, code, error", [
+    (math.nan, 2, "ValidationError"),
+    (math.inf, 2, "ValidationError"),
+    (1e308, 3, "GalerkinUnresolved"),
+    (1e200, 3, "GalerkinUnresolved"),
+])
+def test_spectral_flow_non_finite_or_huge_coefficients(tmp_path, capsys, value, code, error):
+    # NaN and Infinity are not JSON numbers and are refused before any
+    # computation; 1e308 overflows the Galerkin matrix, and 1e200 makes
+    # it too large for its near-zero eigenvalues to be resolved
+    doc = {"minus": {"const": [[value, 0.0], [0.0, 1.0]]},
+           "plus": {"const": [[7.0, 0.0], [0.0, 7.0]]}, "K": 8}
+    got, env, _ = run(capsys, "spectral-flow", write_doc(tmp_path, doc))
+    assert (got, env["error"]["type"]) == (code, error)
+    assert (env["input_sha256"] is None) == (code == 2)
+
+
 def test_vdim_command_matches_library(tmp_path, capsys):
     doc = {
         "n": 2,
